@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -112,10 +111,6 @@ def _suite_row(problem_id, n, cfg) -> dict:
             "wall_ms": wall_ms, "status": result.status.value}
 
 
-def _suite_worker(job):
-    return _suite_row(*job)
-
-
 def _format_suite_row(row, timing) -> str:
     wall = _fmt(row["wall_ms"]) if timing else _fmt(0.0)
     return ",".join((row["problem"], str(row["n"]), str(row["m"]),
@@ -144,18 +139,13 @@ def cmd_suite(args) -> int:
     for p in ids:
         build(p, dims[p])  # validate divisibility up front
 
-    jobs = [(p, dims[p], cfg) for p in ids]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_suite_worker, jobs))
-    else:
-        rows = []
-        for job in jobs:
-            row = _suite_row(*job)
-            print(f"{row['problem']:>5s} n={row['n']:<6d} {row['status']:<18s} "
-                  f"f*={_fmt(row['f_star'])}  steps={row['accepted_steps']} "
-                  f"({row['wall_ms']:.1f} ms)", file=sys.stderr)
-            rows.append(row)
+    rows = []
+    for p in ids:
+        row = _suite_row(p, dims[p], cfg)
+        print(f"{row['problem']:>5s} n={row['n']:<6d} {row['status']:<18s} "
+              f"f*={_fmt(row['f_star'])}  steps={row['accepted_steps']} "
+              f"({row['wall_ms']:.1f} ms)", file=sys.stderr)
+        rows.append(row)
 
     lines = [",".join(SUITE_COLUMNS)]
     lines.extend(_format_suite_row(row, args.timing) for row in rows)
@@ -207,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     size.add_argument("--n", type=int, help="use this n for every problem")
     p_suite.add_argument("--only", help="comma-separated subset of problem ids")
     p_suite.add_argument("--out", help="write the report CSV here (default stdout)")
-    p_suite.add_argument("--jobs", type=int, default=1)
     p_suite.add_argument("--timing", action="store_true",
                          help="put measured wall_ms in the CSV (breaks "
                               "byte-reproducibility of the report)")

@@ -3,9 +3,10 @@
 Each problem minimizes a separable polynomial objective subject to a
 block-banded system of linear equality constraints.  Objectives and
 analytic gradients are vectorized over the block structure; constraint
-matrices are assembled sparse and densified by the projection layer at
-factorization time.  ``ex1`` and ``ex3`` have closed-form optima; the
-other problems carry reference objective values at their benchmark sizes.
+matrices are assembled sparse (CSR), and the projection layer factors
+their blocks one component at a time.  ``ex1`` and ``ex3`` have
+closed-form optima; the other problems carry reference objective values
+at their benchmark sizes.
 """
 
 from dataclasses import dataclass

@@ -4,6 +4,13 @@ Everything downstream of the constraints lives here: the Householder QR
 factorization of A^T, projected gradients, least-distance feasibility
 restoration, Lagrange multiplier recovery, and the KKT/feasibility
 residuals used for termination reporting.
+
+The factorization works component by component. Rows and columns of A
+that share a nonzero belong to the same connected component of the
+bipartite row/column graph, and A^T is block diagonal over these
+components up to a permutation. Each block is factored on its own, so
+the benchmark problems (thousands of 1x2, 1x3 or 2x3 blocks) cost O(n)
+time and memory; a general dense A is the one-component case.
 """
 
 from dataclasses import dataclass
@@ -11,7 +18,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 
 
 class DimensionMismatchError(ValueError):
@@ -22,16 +28,12 @@ class RankDeficientError(ValueError):
     """The constraint matrix does not have full row rank."""
 
 
-def _dense(a):
-    return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Linear equality constraints Ax = b with A of shape (m, n), m < n.
 
-    ``A`` may be dense or scipy.sparse; sparse matrices are densified at
-    factorization time. Full row rank is checked by :func:`factor`, not here.
+    ``A`` may be dense or scipy.sparse. Full row rank is checked by
+    :func:`factor`, not here.
     """
 
     A: object
@@ -60,22 +62,43 @@ class ConstraintSystem:
 
 
 @dataclass(frozen=True)
-class Projector:
-    """Immutable QR factors of A^T plus the projected right-hand side.
+class BlockGroup:
+    """QR factors of the k components of A that have r rows and c columns.
 
-    ``q1`` (n, m) spans the row space of A, ``r1`` (m, m) is upper
-    triangular with A^T = q1 @ r1, and ``b_r`` solves r1^T b_r = b.  The
-    null-space basis ``q2`` (n, n-m) is materialized only when the
-    projected-gradient formula needs it (m > n/2) or when explicitly
-    requested for testing.  Safe for concurrent read-only use.
+    Component i holds constraints ``rows[i]`` (r of them) over variables
+    ``cols[i]`` (c of them). Its block of A^T factors as
+    ``q[i] @ r[i]`` with ``q[i]`` (c, r) orthonormal and ``r[i]`` (r, r)
+    upper triangular, and ``b_r[i]`` solves ``r[i]^T b_r[i] = b[rows[i]]``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    b_r: np.ndarray
+
+    def coefficients(self, v) -> np.ndarray:
+        """Row-space coordinates q^T v of each block, shape (k, r)."""
+        return np.einsum("kcr,kc->kr", self.q, v[self.cols])
+
+    def expand(self, t) -> np.ndarray:
+        """Map block coordinates t (k, r) back to variables: q @ t, (k, c)."""
+        return np.einsum("kcr,kr->kc", self.q, t)
+
+
+@dataclass(frozen=True)
+class Projector:
+    """Immutable component-wise QR factors of A^T.
+
+    ``groups`` holds one :class:`BlockGroup` per component shape; every
+    constraint row lies in exactly one group, and variables that appear in
+    no constraint lie in none (the projections leave them unchanged).
+    Safe for concurrent read-only use.
     """
 
     n: int
     m: int
-    q1: np.ndarray
-    r1: np.ndarray
-    b_r: np.ndarray
-    q2: Optional[np.ndarray] = None
+    groups: Tuple[BlockGroup, ...]
 
     def _check_vec(self, v, name="vector") -> np.ndarray:
         v = np.asarray(v, dtype=float).ravel()
@@ -86,79 +109,169 @@ class Projector:
         return v
 
 
-def factor(cs: ConstraintSystem, rank_tol: Optional[float] = None,
-           build_q2: Optional[bool] = None) -> Projector:
-    """Factor A^T = Q R by Householder reflections and build a Projector.
+def _column_components(n, starts, cols, rows) -> np.ndarray:
+    """Label each column by the smallest column index of its component.
+
+    Hook and shortcut over a forest of columns: every row takes the
+    smallest root among its columns, the root of each of its columns is
+    hooked onto that one, and every label is then followed to its root.
+    Labels only decrease and stay inside a component, so at the fixed
+    point they are constant on each component and equal its smallest
+    column. Hooking roots, not the columns themselves, keeps the number of
+    rounds small: 2 on the benchmark matrices, 12 on a randomly permuted
+    chain of 1e5 variables.
+    """
+    label = np.arange(n)
+    while True:
+        row_root = np.minimum.reduceat(label[cols], starts)
+        new = label.copy()
+        np.minimum.at(new, label[cols], row_root[rows])
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _grouped(keys, size):
+    """Stable order of 0..len(keys)-1 by key, and each key's start in it."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=size))))
+    return order, starts
+
+
+def factor(cs: ConstraintSystem, rank_tol: Optional[float] = None) -> Projector:
+    """Factor A^T = Q R by Householder reflections, one component at a time.
+
+    The connected components of the bipartite row/column graph of A are
+    grouped by shape (r rows, c columns), and each group's stacked (k, c, r)
+    blocks of A^T go through one batched ``np.linalg.qr``.
 
     Parameters
     ----------
     cs : ConstraintSystem
-        Constraints to factor. A sparse ``cs.A`` is densified here.
+        Constraints to factor; ``cs.A`` is read as CSR.
     rank_tol : float, optional
         Relative rank gate: factorization fails if any diagonal entry of
-        R1 satisfies ``|r_ii| <= rank_tol * max_j |r_jj|``. Defaults to
-        ``1e-12 * n``.
-    build_q2 : bool, optional
-        Force (or suppress) materializing the null-space basis. By default
-        it is materialized exactly when m > n/2, where the projected
-        gradient switches to the q2 formula.
+        any block's R satisfies ``|r_ii| <= rank_tol * max |r_jj|``, the
+        maximum taken over all blocks. Defaults to ``1e-12 * n``.
 
     Raises
     ------
     RankDeficientError
-        If the rank gate trips, i.e. A lacks (numerical) full row rank.
+        If A lacks (numerical) full row rank: a row has no nonzero entry,
+        a component has more rows than columns, or the rank gate trips.
+        The message names the rows of the offending component.
     """
-    at = _dense(cs.A).T.copy()
-    n, m = at.shape
-    if build_q2 is None:
-        build_q2 = m > n // 2
-    if build_q2:
-        q, r = np.linalg.qr(at, mode="complete")
-        q1, q2, r1 = q[:, :m], q[:, m:], r[:m, :]
-    else:
-        q1, r1 = np.linalg.qr(at, mode="reduced")
-        q2 = None
+    a = sp.csr_array(cs.A)
+    m, n = a.shape
+    counts = np.diff(a.indptr)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise RankDeficientError(
+            f"constraint matrix is rank deficient: row(s) {empty[:10].tolist()} "
+            "have no nonzero entry"
+        )
+    nz_cols = a.indices.astype(np.intp)
+    nz_rows = np.repeat(np.arange(m), counts)
+    label = _column_components(n, a.indptr[:-1], nz_cols, nz_rows)
 
-    diag = np.abs(np.diag(r1))
+    comp_ids, row_comp = np.unique(label[nz_cols[a.indptr[:-1]]],
+                                   return_inverse=True)
+    num = comp_ids.size
+    used = np.zeros(n, dtype=bool)
+    used[nz_cols] = True
+    col_idx = np.flatnonzero(used)
+    col_comp = np.searchsorted(comp_ids, label[col_idx])
+    row_order, row_start = _grouped(row_comp, num)
+    col_order, col_start = _grouped(col_comp, num)
+    r_count, c_count = np.diff(row_start), np.diff(col_start)
+
+    wide = np.flatnonzero(r_count > c_count)
+    if wide.size:
+        comp = wide[0]
+        rows = row_order[row_start[comp]:row_start[comp + 1]]
+        raise RankDeficientError(
+            f"constraint matrix is rank deficient: rows {rows.tolist()} "
+            f"involve only {c_count[comp]} variable(s)"
+        )
+
+    shapes, comp_group = np.unique(r_count * (n + 1) + c_count,
+                                   return_inverse=True)
+    comp_order, group_start = _grouped(comp_group, shapes.size)
+    blocks = []
+    for g in range(shapes.size):
+        comps = comp_order[group_start[g]:group_start[g + 1]]
+        r, c = int(r_count[comps[0]]), int(c_count[comps[0]])
+        rows = row_order[row_start[comps][:, None] + np.arange(r)]
+        cols = col_idx[col_order[col_start[comps][:, None] + np.arange(c)]]
+        ri, ci = np.broadcast_arrays(rows[:, None, :], cols[:, :, None])
+        at = np.asarray(a[ri.ravel(), ci.ravel()], dtype=float).reshape(ri.shape)
+        q, rr = np.linalg.qr(at)
+        blocks.append((rows, cols, q, rr))
+
+    diags = [np.abs(np.diagonal(rr, axis1=1, axis2=2)) for *_, rr in blocks]
     if rank_tol is None:
         rank_tol = 1e-12 * n
-    if np.any(diag <= rank_tol * diag.max(initial=0.0)):
+    gate = rank_tol * max(d.max() for d in diags)
+    worst = min(range(len(diags)), key=lambda i: diags[i].min())
+    if diags[worst].min() <= gate:
+        rows = blocks[worst][0][np.argmin(diags[worst].min(axis=1))]
         raise RankDeficientError(
-            f"constraint matrix is rank deficient: min |R1 diag| = {diag.min():.3e}"
+            f"constraint matrix is rank deficient: rows {rows.tolist()} have "
+            f"min |R diag| = {diags[worst].min():.3e}"
         )
-    b_r = solve_triangular(r1, cs.b, trans="T", lower=False)
-    return Projector(n=n, m=m, q1=q1, r1=r1, b_r=b_r, q2=q2)
+
+    groups = tuple(
+        BlockGroup(rows=rows, cols=cols, q=q, r=rr,
+                   b_r=np.linalg.solve(rr.transpose(0, 2, 1),
+                                       cs.b[rows][..., None])[..., 0])
+        for rows, cols, q, rr in blocks)
+    return Projector(n=n, m=m, groups=groups)
 
 
 def project_gradient(p: Projector, g) -> np.ndarray:
     """Project g onto the null space of A (the component with A @ Pg = 0)."""
     g = p._check_vec(g, "gradient")
-    if p.q2 is not None and p.m > p.n // 2:
-        return p.q2 @ (p.q2.T @ g)
-    return g - p.q1 @ (p.q1.T @ g)
+    out = g.copy()
+    for grp in p.groups:
+        out[grp.cols] -= grp.expand(grp.coefficients(g))
+    return out
 
 
 def make_feasible(p: Projector, x0) -> np.ndarray:
     """Return the feasible point closest to x0 in the Euclidean norm."""
     x0 = p._check_vec(x0, "initial point")
-    return x0 - p.q1 @ (p.q1.T @ x0 - p.b_r)
+    out = x0.copy()
+    for grp in p.groups:
+        out[grp.cols] -= grp.expand(grp.coefficients(x0) - grp.b_r)
+    return out
 
 
 def multipliers(p: Projector, g) -> np.ndarray:
-    """Lagrange multipliers lam = -(A A^T)^{-1} A g via a triangular solve.
+    """Lagrange multipliers lam = -(A A^T)^{-1} A g, one block at a time.
 
     Satisfies g + A^T lam = Pg, which makes the stationarity residual
     ``||g + A^T lam||`` identical to ``||Pg||``.
     """
     g = p._check_vec(g, "gradient")
-    return solve_triangular(p.r1, -(p.q1.T @ g), lower=False)
+    lam = np.empty(p.m)
+    for grp in p.groups:
+        lam[grp.rows] = -np.linalg.solve(grp.r, grp.coefficients(g)[..., None])[..., 0]
+    return lam
 
 
-def residuals(p: Projector, cs: ConstraintSystem, x, g) -> Tuple[float, float]:
-    """Return (kkt_inf, feas_inf): ||g + A^T lam||_inf and ||Ax - b||_inf."""
+def residuals(p: Projector, cs: ConstraintSystem, x, g,
+              lam) -> Tuple[float, float]:
+    """Return (kkt_inf, feas_inf): ||g + A^T lam||_inf and ||Ax - b||_inf.
+
+    ``lam`` are the multipliers at g, as returned by :func:`multipliers`.
+    """
     x = p._check_vec(x, "point")
     g = p._check_vec(g, "gradient")
-    lam = multipliers(p, g)
     kkt = g + cs.A.T @ lam
     feas = cs.A @ x - cs.b
     return float(np.max(np.abs(kkt))), float(np.max(np.abs(feas)))

@@ -216,7 +216,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
     def finish(status, xv, fv, gv):
         lam = multipliers(proj, gv) if _finite(gv) else np.full(proj.m, np.nan)
         if _finite(gv) and _finite(xv):
-            kkt, feas = residuals(proj, problem.cs, xv, gv)
+            kkt, feas = residuals(proj, problem.cs, xv, gv, lam)
         else:
             kkt, feas = math.inf, math.inf
         accepted = sum(1 for r in history if r.accepted)

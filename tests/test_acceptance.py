@@ -182,8 +182,6 @@ def test_criterion_6_step_count_bands(bench_results):
     ok = True
     details = []
     for pid, ref_steps in TABLE_STEPS.items():
-        if pid == "ex8":
-            continue
         steps = bench_results[pid][1].steps
         good = 3 <= steps <= 3 * ref_steps
         ok &= good

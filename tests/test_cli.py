@@ -137,14 +137,6 @@ def test_suite_scale_and_n_conflict():
     assert main(["suite", "--scale", "desk", "--n", "12"]) == 1
 
 
-def test_suite_parallel_matches_serial(tmp_path):
-    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    args = ["suite", "--n", "24", "--only", "ex1,ex4,ex10"]
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_check_grad_pass(capsys):
     assert main(["check-grad", "--problem", "ex1", "--n", "12"]) == 0
     assert "ok" in capsys.readouterr().out

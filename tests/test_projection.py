@@ -1,16 +1,21 @@
 """Projection layer: factorization, projections, multipliers, residuals.
 
 Dense oracles are built directly from A (explicit inverses / KKT solves),
-independently of the QR path under test.
+independently of the component-wise QR path under test.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.sparse as sp
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse.csgraph import connected_components
 
 from eqflow import (ConstraintSystem, DimensionMismatchError,
-                    RankDeficientError, factor, make_feasible, multipliers,
-                    project_gradient, residuals)
+                    RankDeficientError, build, factor, make_feasible,
+                    multipliers, project_gradient, residuals)
+from eqflow.projection import _column_components
 
 
 def dense_projection(A):
@@ -32,45 +37,107 @@ def random_system(rng, n_max=50):
 
 # ---------------------------------------------------------------- factor
 
+def block_system(rng, blocks, free=0):
+    """Block-structured A with randomly permuted rows and columns.
+
+    ``blocks`` lists the (rows, cols) shape of each dense random block;
+    ``free`` extra columns appear in no constraint. Returns the
+    ConstraintSystem (A as CSR) and A as a dense array.
+    """
+    m = sum(r for r, _ in blocks)
+    n = sum(c for _, c in blocks) + free
+    A = np.zeros((m, n))
+    i = j = 0
+    for r, c in blocks:
+        A[i:i + r, j:j + c] = rng.standard_normal((r, c))
+        i, j = i + r, j + c
+    A = A[rng.permutation(m)][:, rng.permutation(n)]
+    return ConstraintSystem(A=sp.csr_matrix(A), b=rng.standard_normal(m)), A
+
+
+def assert_matches_oracles(cs, A, rng, atol=1e-10):
+    """Projection, feasibility and multipliers against the dense oracles."""
+    p = factor(cs)
+    m, n = A.shape
+    g = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    assert_allclose(project_gradient(p, g), dense_projection(A) @ g, atol=atol)
+    assert_allclose(make_feasible(p, x0), dense_feasible(A, cs.b, x0), atol=atol)
+    kkt = np.block([[np.eye(n), A.T], [A, np.zeros((m, m))]])
+    lam = np.linalg.solve(kkt, np.concatenate([-g, np.zeros(m)]))[n:]
+    assert_allclose(multipliers(p, g), lam, atol=atol)
+
+
 def test_factor_1x2_hand():
+    # x + y = 4: P = I - 11^T/2, least-distance point of 0 is (2, 2), and
+    # lam = -(g_x + g_y)/2
     p = factor(ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0])))
-    r = p.r1[0, 0]
-    assert abs(abs(r) - np.sqrt(2.0)) < 1e-14
-    assert_allclose(p.q1[:, 0], np.array([1.0, 1.0]) / r, atol=1e-14)
-    # sign convention is free, but R1^T b_r = b must hold
-    assert abs(r * p.b_r[0] - 4.0) < 1e-14
-    assert abs(abs(p.b_r[0]) - 2.0 * np.sqrt(2.0)) < 1e-14
+    assert_allclose(project_gradient(p, [1.0, 0.0]), [0.5, -0.5], atol=1e-15)
+    assert_allclose(make_feasible(p, [0.0, 0.0]), [2.0, 2.0], atol=1e-14)
+    assert_allclose(multipliers(p, [2.0, 4.0]), [-3.0], atol=1e-14)
 
 
 def test_factor_identity_column():
-    p = factor(ConstraintSystem(A=np.array([[1.0, 0.0]]), b=np.array([0.0])))
-    assert_allclose(np.abs(p.q1[:, 0]), [1.0, 0.0], atol=1e-15)
-    assert abs(abs(p.r1[0, 0]) - 1.0) < 1e-15
-    assert p.b_r[0] == 0.0
+    # variables in no constraint pass through every projection unchanged
+    p = factor(ConstraintSystem(A=np.array([[1.0, 0.0]]), b=np.array([3.0])))
+    assert_allclose(project_gradient(p, [5.0, 7.0]), [0.0, 7.0], atol=1e-15)
+    assert_allclose(make_feasible(p, [1.0, 7.0]), [3.0, 7.0], atol=1e-15)
+    assert_allclose(multipliers(p, [5.0, 7.0]), [-5.0], atol=1e-15)
+    rng = np.random.default_rng(19)
+    cs, A = block_system(rng, [(1, 2), (2, 3), (1, 3)], free=4)
+    assert_matches_oracles(cs, A, rng)
 
 
 def test_factor_matches_dense_projection():
-    A = np.array([[1.0, 2.0, 1.0], [2.0, -1.0, -3.0]])
-    p = factor(ConstraintSystem(A=A, b=np.array([1.0, 4.0])), build_q2=False)
-    assert_allclose(np.eye(3) - p.q1 @ p.q1.T, dense_projection(A), atol=1e-10)
+    # mixed block shapes in one A, including a 3x5 block and a 4-row chain
+    # x_i - x_{i+1} = b_i, whose components need several labelling rounds
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        _, A = block_system(rng, [(1, 2), (1, 3), (2, 3), (1, 2), (3, 5),
+                                   (2, 3), (1, 1)], free=1)
+        chain = np.eye(4, 5) - np.eye(4, 5, k=1)
+        A = np.block([[A, np.zeros((A.shape[0], 5))],
+                      [np.zeros((4, A.shape[1])), chain]])
+        A = A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
+        cs = ConstraintSystem(A=sp.csr_matrix(A), b=rng.standard_normal(A.shape[0]))
+        assert_matches_oracles(cs, A, rng)
 
 
 def test_factor_reconstructs_at():
+    # the block factors span exactly the rows of A: for g = A^T w the
+    # projection vanishes and the multipliers return -w
     rng = np.random.default_rng(11)
     for _ in range(20):
-        cs = random_system(rng, n_max=20)
+        cs, A = block_system(rng, [(1, 2), (2, 3), (2, 2 + rng.integers(1, 4))])
         p = factor(cs)
-        assert_allclose(p.q1 @ p.r1, np.asarray(cs.A, float).T, atol=1e-12)
+        w = rng.standard_normal(cs.m)
+        assert_allclose(project_gradient(p, A.T @ w), 0.0, atol=1e-12)
+        assert_allclose(multipliers(p, A.T @ w), -w, atol=1e-12)
 
 
-def test_factor_q2_materialized_iff_wide():
-    tall = factor(ConstraintSystem(A=np.ones((1, 6)), b=np.zeros(1)))
-    assert tall.q2 is None
-    A = np.random.default_rng(0).standard_normal((4, 6))
-    wide = factor(ConstraintSystem(A=A, b=np.zeros(4)))
-    assert wide.q2 is not None and wide.q2.shape == (6, 2)
-    assert_allclose(wide.q1.T @ wide.q2, 0.0, atol=1e-12)
-    assert_allclose(wide.q2.T @ wide.q2, np.eye(2), atol=1e-12)
+def test_factor_permuted_rows_and_columns():
+    # permuting rows and columns of A permutes the results accordingly
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        cs, A = block_system(rng, [(1, 2)] * 4 + [(2, 3)] * 3 + [(1, 3)] * 2)
+        rp, cp = rng.permutation(cs.m), rng.permutation(cs.n)
+        p = factor(cs)
+        pp = factor(ConstraintSystem(A=sp.csr_matrix(A[rp][:, cp]), b=cs.b[rp]))
+        g = rng.standard_normal(cs.n)
+        x0 = rng.standard_normal(cs.n)
+        assert_allclose(project_gradient(pp, g[cp]), project_gradient(p, g)[cp],
+                        atol=1e-12)
+        assert_allclose(make_feasible(pp, x0[cp]), make_feasible(p, x0)[cp],
+                        atol=1e-12)
+        assert_allclose(multipliers(pp, g[cp]), multipliers(p, g)[rp], atol=1e-12)
+
+
+def test_factor_general_dense_matches_oracle():
+    # a dense A is one component, narrow (m << n) or wide (m close to n)
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        cs = random_system(rng, n_max=30)
+        assert_matches_oracles(cs, np.asarray(cs.A, float), rng, atol=1e-9)
 
 
 def test_factor_rank_deficient():
@@ -78,6 +145,74 @@ def test_factor_rank_deficient():
                           b=np.zeros(2))
     with pytest.raises(RankDeficientError):
         factor(cs)
+    rng = np.random.default_rng(31)
+    _, A = block_system(rng, [(1, 2), (2, 3), (1, 3)], free=2)
+    zero_row = np.vstack([A, np.zeros(A.shape[1])])
+    with pytest.raises(RankDeficientError, match=r"row\(s\) \[4\]"):
+        factor(ConstraintSystem(A=sp.csr_matrix(zero_row), b=np.zeros(5)))
+    # a stored zero keeps the row in a block; the rank gate then rejects it
+    csr = sp.csr_matrix(zero_row)
+    stored = sp.csr_matrix((np.append(csr.data, 0.0), np.append(csr.indices, 0),
+                            np.append(csr.indptr[:-1], csr.nnz + 1)),
+                           shape=zero_row.shape)
+    with pytest.raises(RankDeficientError):
+        factor(ConstraintSystem(A=stored, b=np.zeros(5)))
+    # two dependent rows inside one 2x3 block
+    block = np.zeros((3, 6))
+    block[0, :2] = (1.0, 1.0)
+    block[1:, 2:5] = ((1.0, 2.0, 1.0), (2.0, 4.0, 2.0))
+    with pytest.raises(RankDeficientError, match=r"rows \[1, 2\]"):
+        factor(ConstraintSystem(A=sp.csr_matrix(block), b=np.zeros(3)))
+    # a component with more rows than variables
+    tall = np.zeros((3, 5))
+    tall[:, :2] = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+    with pytest.raises(RankDeficientError, match=r"rows \[0, 1, 2\]"):
+        factor(ConstraintSystem(A=tall, b=np.zeros(3)))
+
+
+def test_component_labels_match_csgraph():
+    # each column's label is the smallest column of its connected component
+    # in the bipartite row/column graph; scipy's csgraph is the reference
+    rng = np.random.default_rng(37)
+    chain = sp.eye(2999, 3000) - sp.eye(2999, 3000, k=1)
+    cases = [sp.csr_array(chain)[rng.permutation(2999)][:, rng.permutation(3000)]]
+    for _ in range(10):
+        m = int(rng.integers(5, 400))
+        n = m + int(rng.integers(1, 400))
+        A = sp.random(m, n, density=rng.uniform(0.2, 3.0) / n, random_state=rng)
+        A = A + sp.csr_array((np.ones(m), (np.arange(m), rng.integers(0, n, m))),
+                             shape=(m, n))
+        cases.append(sp.csr_array(A))
+    for A in cases:
+        m, n = A.shape
+        cols = A.indices.astype(np.intp)
+        rows = np.repeat(np.arange(m), np.diff(A.indptr))
+        label = _column_components(n, A.indptr[:-1], cols, rows)
+        _, ref = connected_components(sp.bmat([[None, A], [A.T, None]]),
+                                      directed=False)
+        ref = ref[m:]
+        smallest = {}
+        for j in range(n):
+            smallest.setdefault(ref[j], j)
+        assert_array_equal(label, [smallest[c] for c in ref])
+
+
+def array_bytes(obj):
+    """Summed nbytes of every array reachable from obj's dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        return sum(array_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return sum(array_bytes(v) for v in obj)
+    return 0
+
+
+def test_factor_memory_linear_in_n():
+    # ex3 at ten times its benchmark size: 16 000 2x3 blocks
+    n = 48000
+    p = factor(build("ex3", n).cs)
+    assert array_bytes(p) <= 100 * n
 
 
 def test_constraint_system_shape_validation():
@@ -120,17 +255,6 @@ def test_projection_properties_random():
         assert np.linalg.norm(project_gradient(p, pg) - pg) <= 1e-10 * max(gnorm, 1.0)
         assert np.max(np.abs(cs.A @ pg)) <= 1e-10 * gnorm
         assert np.linalg.norm(pg) <= gnorm * (1.0 + 1e-12)
-
-
-def test_branch_equivalence():
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        cs = random_system(rng, n_max=30)
-        p = factor(cs, build_q2=True)
-        g = rng.standard_normal(cs.n)
-        via_q1 = g - p.q1 @ (p.q1.T @ g)
-        via_q2 = p.q2 @ (p.q2.T @ g)
-        assert np.linalg.norm(via_q1 - via_q2) <= 1e-10 * max(np.linalg.norm(g), 1.0)
 
 
 # ------------------------------------------------------------ make_feasible
@@ -219,7 +343,7 @@ def test_residuals_zero_at_stationary_feasible():
     p = factor(cs)
     x = make_feasible(p, rng.standard_normal(6))
     g = A.T @ rng.standard_normal(2)  # gradient in the row space
-    kkt, feas = residuals(p, cs, x, g)
+    kkt, feas = residuals(p, cs, x, g, multipliers(p, g))
     assert kkt <= 1e-10 and feas <= 1e-10
 
 
@@ -229,7 +353,7 @@ def test_residuals_at_pair_optimum():
     p = factor(cs)
     x = np.array([40.0 / 11.0, 4.0 / 11.0])
     g = np.array([2.0 * x[0], 20.0 * x[1]])
-    kkt, feas = residuals(p, cs, x, g)
+    kkt, feas = residuals(p, cs, x, g, multipliers(p, g))
     assert kkt <= 1e-10 and feas <= 1e-10
 
 
@@ -237,5 +361,5 @@ def test_residuals_infeasible_start():
     cs = ConstraintSystem(A=np.array([[1.0, 4.0, 2.0]]), b=np.array([3.0]))
     p = factor(cs)
     x0 = np.array([-0.5, 1.5, 1.0])
-    _, feas = residuals(p, cs, x0, np.zeros(3))
+    _, feas = residuals(p, cs, x0, np.zeros(3), np.zeros(1))
     assert abs(feas - 4.5) < 1e-12
