@@ -1,6 +1,6 @@
 """Continuation solver for minimization under linear equality constraints."""
 
-from .direction import CurvaturePair, curvature_gate, dense_h, direction
+from .direction import CurvaturePair, curvature_gate, direction
 from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
                        GradientCheckReport, Problem, build, gradient_check,
                        known_optima)
@@ -16,7 +16,7 @@ __all__ = [
     "ConstraintSystem", "Projector", "factor", "project_gradient",
     "make_feasible", "multipliers", "residuals",
     "DimensionMismatchError", "RankDeficientError",
-    "CurvaturePair", "curvature_gate", "direction", "dense_h",
+    "CurvaturePair", "curvature_gate", "direction",
     "SolverConfig", "SolveResult", "IterationRecord", "Status", "solve",
     "trial_step", "model_decrease", "ratio", "update_dt",
     "Problem", "build", "gradient_check", "known_optima",

@@ -63,12 +63,24 @@ def _write_history(path, history):
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    problem = build(args.problem, args.n)
+def _solve_row(problem, cfg):
+    """Solve a built problem, timed; return the result and its report row."""
     t0 = time.perf_counter()
     result = solve(problem, cfg)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
+    return result, {
+        "problem": problem.name, "n": problem.n, "m": problem.m,
+        "status": result.status.value, "f_star": result.f_star,
+        "kkt_inf": result.kkt_inf, "feas_inf": result.feas_inf,
+        "accepted_steps": result.steps, "total_iters": result.total_iters,
+        "n_f": result.n_f, "n_g": result.n_g, "wall_ms": wall_ms,
+    }
+
+
+def cmd_solve(args) -> int:
+    cfg = _load_config(args)
+    problem = build(args.problem, args.n)
+    result, row = _solve_row(problem, cfg)
 
     print(f"problem        {problem.name}  (n={problem.n}, m={problem.m})")
     print(f"status         {result.status.value}")
@@ -77,38 +89,19 @@ def cmd_solve(args) -> int:
     print(f"feas_inf       {_fmt(result.feas_inf)}")
     print(f"accepted steps {result.steps}  (of {result.total_iters} iterations)")
     print(f"evaluations    f: {result.n_f}  grad: {result.n_g}")
-    print(f"wall time      {wall_ms:.1f} ms")
+    print(f"wall time      {row['wall_ms']:.1f} ms")
     if problem.known_f_star is not None:
         print(f"known f_star   {_fmt(problem.known_f_star)} ({problem.f_star_note})")
 
     if args.json:
-        payload = {
-            "problem": problem.name, "n": problem.n, "m": problem.m,
-            "status": result.status.value, "f_star": result.f_star,
-            "kkt_inf": result.kkt_inf, "feas_inf": result.feas_inf,
-            "accepted_steps": result.steps, "total_iters": result.total_iters,
-            "n_f": result.n_f, "n_g": result.n_g, "wall_ms": wall_ms,
-            "lambda_inf": float(np.max(np.abs(result.lambda_star))),
-            "config": asdict(cfg),
-        }
+        payload = dict(row, lambda_inf=float(np.max(np.abs(result.lambda_star))),
+                       config=asdict(cfg))
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if args.history:
         _write_history(args.history, result.history)
     return 0 if result.status is Status.CONVERGED else 2
-
-
-def _suite_row(problem_id, n, cfg) -> dict:
-    problem = build(problem_id, n)
-    t0 = time.perf_counter()
-    result = solve(problem, cfg)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return {"problem": problem_id, "n": n, "m": problem.m,
-            "accepted_steps": result.steps, "total_iters": result.total_iters,
-            "n_f": result.n_f, "n_g": result.n_g, "f_star": result.f_star,
-            "kkt_inf": result.kkt_inf, "feas_inf": result.feas_inf,
-            "wall_ms": wall_ms, "status": result.status.value}
 
 
 def _format_suite_row(row, timing) -> str:
@@ -136,12 +129,11 @@ def cmd_suite(args) -> int:
         dims = {p: PAPER_DIMS[p] for p in ids}
     else:
         dims = {p: DESK_DIM for p in ids}
-    for p in ids:
-        build(p, dims[p])  # validate divisibility up front
+    problems = [build(p, dims[p]) for p in ids]  # validates every n up front
 
     rows = []
-    for p in ids:
-        row = _suite_row(p, dims[p], cfg)
+    for problem in problems:
+        _, row = _solve_row(problem, cfg)
         print(f"{row['problem']:>5s} n={row['n']:<6d} {row['status']:<18s} "
               f"f*={_fmt(row['f_star'])}  steps={row['accepted_steps']} "
               f"({row['wall_ms']:.1f} ms)", file=sys.stderr)

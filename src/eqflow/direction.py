@@ -65,12 +65,3 @@ def direction(pg, pair: Optional[CurvaturePair], theta: float) -> np.ndarray:
             + (pair.y * s_pg + pair.s * y_pg) / c
             - (2.0 * pair.y_sq * s_pg / c**2) * pair.s)
 
-
-def dense_h(pair: Optional[CurvaturePair], theta: float, n: int) -> np.ndarray:
-    """Materialize H as an n-by-n matrix. Test-scale reconstruction only."""
-    if not curvature_gate(pair, theta):
-        return np.eye(n)
-    s, y, c = pair.s, pair.y, pair.s_dot_y
-    return (np.eye(n)
-            - (np.outer(y, s) + np.outer(s, y)) / c
-            + (2.0 * pair.y_sq / c**2) * np.outer(s, s))

@@ -1,16 +1,21 @@
-"""The ten block-separable benchmark problems ex1..ex10.
+"""The ten block-separable benchmark problems ex1..ex10, defined as data.
 
 Each problem minimizes a separable polynomial objective subject to a
-block-banded system of linear equality constraints.  Objectives and
-analytic gradients are vectorized over the block structure; constraint
+block-banded system of linear equality constraints.  ``_TABLE`` is the
+definition: one entry per problem gives the monomial terms of an
+objective block, one block of constraint rows and the start point.  One
+evaluator turns an entry into the objective and its gradient, vectorized
+over the blocks; the gradient is derived from the terms by one rule, not
+written by hand, so ``gradient_check`` tests that rule.  Constraint
 matrices are assembled sparse (CSR), and the projection layer factors
 their blocks one component at a time.  ``ex1`` and ``ex3`` have
 closed-form optima; the other problems carry reference objective values
 at their benchmark sizes.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,9 +26,6 @@ from .projection import ConstraintSystem, factor, make_feasible, project_gradien
 class BadDimensionError(ValueError):
     """The requested dimension violates the problem's divisibility rule."""
 
-
-PROBLEM_IDS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex7", "ex8",
-               "ex9", "ex10")
 
 # Benchmark sizes used for the reference results.
 PAPER_DIMS = {"ex1": 5000, "ex2": 4800, "ex3": 4800, "ex4": 5000,
@@ -58,182 +60,116 @@ class Problem:
 
 def _block_constraints(n, rows, rhs):
     """Block-banded A: each width-w block of variables gets `rows` rows."""
-    w = len(rows[0])
-    nb = n // w
-    r = len(rows)
-    data, ri, ci = [], [], []
-    for j, coefs in enumerate(rows):
-        for t, c in enumerate(coefs):
-            if c != 0.0:
-                data.append(np.full(nb, float(c)))
-                ri.append(np.arange(nb) * r + j)
-                ci.append(np.arange(nb) * w + t)
-    A = sp.csr_matrix((np.concatenate(data),
-                       (np.concatenate(ri), np.concatenate(ci))),
-                      shape=(nb * r, n))
-    b = np.tile(np.asarray(rhs, dtype=float), nb)
-    return A, b
+    rows = np.asarray(rows, dtype=float)
+    r, w = rows.shape
+    j, t = np.nonzero(rows)
+    blocks = np.arange(n // w)[:, None]
+    A = sp.csr_matrix((np.tile(rows[j, t], n // w),
+                       ((blocks * r + j).ravel(), (blocks * w + t).ravel())),
+                      shape=(n // w * r, n))
+    return A, np.tile(np.asarray(rhs, dtype=float), n // w)
 
 
-def _ex1(n):
+class _Spec(NamedTuple):
+    """A problem as data: objective terms, constraint block, start point.
+
+    The objective is ``const`` plus the sum, over blocks of ``width``
+    consecutive variables, of the ``terms`` ``(c, (e_0, .., e_{width-1}))``,
+    each ``c * prod (x_k - shift_k) ** e_k`` with some e_k > 0 (a missing
+    shift is 0; kept unexpanded, as expanding would cancel). ``rows`` and
+    ``rhs`` are one block of constraints for ``_block_constraints``. x0
+    repeats ``start``, then ``head`` overwrites its first entries.
+    """
+
+    width: int
+    terms: Tuple[Tuple[float, Tuple[int, ...]], ...]
+    rows: Tuple[Tuple[float, ...], ...]
+    rhs: Tuple[float, ...]
+    start: Tuple[float, ...]
+    head: Tuple[float, ...] = ()
+    shift: Tuple[float, ...] = ()
+    const: float = 0.0
+
+
+def _monomial(coef, exponents):
+    """``(c, ((k, e), ...))`` for ``c * prod y_k ** e``, every e >= 1; c is
+    None, and the product skips it, for a unit coefficient."""
+    factors = tuple((k, e) for k, e in enumerate(exponents) if e)
+    return (None if coef == 1 and factors else float(coef)), factors
+
+
+def _sum(monomials, y):
+    """Sum of the monomials over the block columns y, or None if empty.
+
+    Products run left to right, coefficient first, ``y_k`` for ``y_k ** 1``:
+    bit for bit the formula written out as one numpy expression.
+    """
+    total = None
+    for coef, factors in monomials:
+        value = coef
+        for k, e in factors:
+            power = y[k] if e == 1 else y[k] ** e
+            value = power if value is None else value * power
+        total = value if total is None else total + value
+    return total
+
+
+def _evaluator(spec):
+    """Objective and gradient of a table entry, vectorized over the blocks.
+
+    The gradient is derived by one rule: d/dx_k of ``c * x_k ** e * r`` is
+    ``(c * e) * x_k ** (e - 1) * r``.
+    """
+    w, const = spec.width, spec.const
+    shifted = [(k, s) for k, s in enumerate(spec.shift) if s]
+    terms = [_monomial(c, exponents) for c, exponents in spec.terms]
+    derived = [[_monomial(c * e[k], e[:k] + (e[k] - 1,) + e[k + 1:])
+                for c, e in spec.terms if e[k]] for k in range(w)]
+
+    def columns(x):
+        y = [x[k::w] for k in range(w)]
+        for k, s in shifted:
+            y[k] = y[k] - s
+        return y
+
     def objective(x):
-        return float(np.sum(x[0::2] ** 2 + 10.0 * x[1::2] ** 2))
+        f = float(_sum(terms, columns(x)).sum())
+        return f + const if const else f
 
     def gradient(x):
+        y = columns(x)
         out = np.empty_like(x)
-        out[0::2] = 2.0 * x[0::2]
-        out[1::2] = 20.0 * x[1::2]
+        for k, monomials in enumerate(derived):
+            g = _sum(monomials, y)
+            out[k::w] = 0.0 if g is None else g
         return out
 
-    A, b = _block_constraints(n, [(1, 1)], [4.0])
-    return objective, gradient, A, b, np.full(n, 2.0)
+    return objective, gradient
 
 
-def _ex2(n):
-    def objective(x):
-        return float(np.sum((x[0::2] - 2.0) ** 2 + 2.0 * (x[1::2] - 1.0) ** 2)) - 5.0
-
-    def gradient(x):
-        out = np.empty_like(x)
-        out[0::2] = 2.0 * (x[0::2] - 2.0)
-        out[1::2] = 4.0 * (x[1::2] - 1.0)
-        return out
-
-    A, b = _block_constraints(n, [(1, 4, 2)], [3.0])
-    x0 = np.zeros(n)
-    x0[:3] = (-0.5, 1.5, 1.0)
-    return objective, gradient, A, b, x0
-
-
-def _ex3(n):
-    def objective(x):
-        return float(np.sum(x ** 2))
-
-    def gradient(x):
-        return 2.0 * x
-
-    A, b = _block_constraints(n, [(1, 2, 1), (2, -1, -3)], [1.0, 4.0])
-    return objective, gradient, A, b, np.tile([1.0, 0.5, -1.0], n // 3)
-
-
-def _ex4(n):
-    def objective(x):
-        return float(np.sum(x[0::2] ** 2 + x[1::2] ** 6)) - 1.0
-
-    def gradient(x):
-        out = np.empty_like(x)
-        out[0::2] = 2.0 * x[0::2]
-        out[1::2] = 6.0 * x[1::2] ** 5
-        return out
-
-    A, b = _block_constraints(n, [(1, 1)], [1.0])
-    return objective, gradient, A, b, np.ones(n)
-
-
-def _ex5(n):
-    def objective(x):
-        return float(np.sum((x[0::2] - 2.0) ** 4 + 2.0 * (x[1::2] - 1.0) ** 6)) - 5.0
-
-    def gradient(x):
-        out = np.empty_like(x)
-        out[0::2] = 4.0 * (x[0::2] - 2.0) ** 3
-        out[1::2] = 12.0 * (x[1::2] - 1.0) ** 5
-        return out
-
-    A, b = _block_constraints(n, [(1, 4)], [3.0])
-    return objective, gradient, A, b, np.tile([-1.0, 1.0], n // 2)
-
-
-def _ex6(n):
-    def objective(x):
-        return float(np.sum(x[0::3] ** 2 + x[1::3] ** 4 + x[2::3] ** 6))
-
-    def gradient(x):
-        out = np.empty_like(x)
-        out[0::3] = 2.0 * x[0::3]
-        out[1::3] = 4.0 * x[1::3] ** 3
-        out[2::3] = 6.0 * x[2::3] ** 5
-        return out
-
-    A, b = _block_constraints(n, [(1, 2, 1), (2, -1, -3)], [1.0, 4.0])
-    x0 = np.zeros(n)
-    x0[0] = 2.0
-    return objective, gradient, A, b, x0
-
-
-def _ex7(n):
-    def objective(x):
-        return float(np.sum(x[0::2] ** 4 + 3.0 * x[1::2] ** 2))
-
-    def gradient(x):
-        out = np.empty_like(x)
-        out[0::2] = 4.0 * x[0::2] ** 3
-        out[1::2] = 6.0 * x[1::2]
-        return out
-
-    A, b = _block_constraints(n, [(1, 1)], [4.0])
-    x0 = np.zeros(n)
-    x0[:2] = 2.0
-    return objective, gradient, A, b, x0
-
-
-def _ex8(n):
-    def objective(x):
-        u, v, w = x[0::3], x[1::3], x[2::3]
-        return float(np.sum(u ** 2 + u ** 2 * w ** 2 + 2.0 * u * v
-                            + v ** 4 + 8.0 * v))
-
-    def gradient(x):
-        u, v, w = x[0::3], x[1::3], x[2::3]
-        out = np.empty_like(x)
-        out[0::3] = 2.0 * u + 2.0 * u * w ** 2 + 2.0 * v
-        out[1::3] = 2.0 * u + 4.0 * v ** 3 + 8.0
-        out[2::3] = 2.0 * u ** 2 * w
-        return out
-
-    A, b = _block_constraints(n, [(2, 5, 1)], [3.0])
-    x0 = np.zeros(n)
-    x0[0] = 1.5
-    return objective, gradient, A, b, x0
-
-
-def _ex9(n):
-    def objective(x):
-        return float(np.sum(x[0::2] ** 4 + 10.0 * x[1::2] ** 6))
-
-    def gradient(x):
-        out = np.empty_like(x)
-        out[0::2] = 4.0 * x[0::2] ** 3
-        out[1::2] = 60.0 * x[1::2] ** 5
-        return out
-
-    A, b = _block_constraints(n, [(1, 1)], [4.0])
-    return objective, gradient, A, b, np.full(n, 2.0)
-
-
-def _ex10(n):
-    def objective(x):
-        return float(np.sum(x[0::3] ** 8 + x[1::3] ** 6 + x[2::3] ** 2))
-
-    def gradient(x):
-        out = np.empty_like(x)
-        out[0::3] = 8.0 * x[0::3] ** 7
-        out[1::3] = 6.0 * x[1::3] ** 5
-        out[2::3] = 2.0 * x[2::3]
-        return out
-
-    A, b = _block_constraints(n, [(1, 2, 2)], [1.0])
-    return objective, gradient, A, b, np.tile([1.0, 0.0, 0.0], n // 3)
-
-
-_FACTORIES = {"ex1": _ex1, "ex2": _ex2, "ex3": _ex3, "ex4": _ex4,
-              "ex5": _ex5, "ex6": _ex6, "ex7": _ex7, "ex8": _ex8,
-              "ex9": _ex9, "ex10": _ex10}
-
-# Smallest repeating unit of objective and constraints together: ex2 pairs a
-# period-2 objective with period-3 constraints.
-_DIVISOR = {"ex1": 2, "ex2": 6, "ex3": 3, "ex4": 2, "ex5": 2, "ex6": 3,
-            "ex7": 2, "ex8": 3, "ex9": 2, "ex10": 3}
+_TABLE = {
+    "ex1": _Spec(2, ((1, (2, 0)), (10, (0, 2))), ((1, 1),), (4.0,), (2.0,)),
+    "ex2": _Spec(2, ((1, (2, 0)), (2, (0, 2))), ((1, 4, 2),), (3.0,), (0.0,),
+                 head=(-0.5, 1.5, 1.0), shift=(2.0, 1.0), const=-5.0),
+    "ex3": _Spec(1, ((1, (2,)),), ((1, 2, 1), (2, -1, -3)), (1.0, 4.0),
+                 (1.0, 0.5, -1.0)),
+    "ex4": _Spec(2, ((1, (2, 0)), (1, (0, 6))), ((1, 1),), (1.0,), (1.0,),
+                 const=-1.0),
+    "ex5": _Spec(2, ((1, (4, 0)), (2, (0, 6))), ((1, 4),), (3.0,), (-1.0, 1.0),
+                 shift=(2.0, 1.0), const=-5.0),
+    "ex6": _Spec(3, ((1, (2, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 6))),
+                 ((1, 2, 1), (2, -1, -3)), (1.0, 4.0), (0.0,), head=(2.0,)),
+    "ex7": _Spec(2, ((1, (4, 0)), (3, (0, 2))), ((1, 1),), (4.0,), (0.0,),
+                 head=(2.0, 2.0)),
+    "ex8": _Spec(3, ((1, (2, 0, 0)), (1, (2, 0, 2)), (2, (1, 1, 0)),
+                     (1, (0, 4, 0)), (8, (0, 1, 0))),
+                 ((2, 5, 1),), (3.0,), (0.0,), head=(1.5,)),
+    "ex9": _Spec(2, ((1, (4, 0)), (10, (0, 6))), ((1, 1),), (4.0,), (2.0,)),
+    "ex10": _Spec(3, ((1, (8, 0, 0)), (1, (0, 6, 0)), (1, (0, 0, 2))),
+                  ((1, 2, 2),), (1.0,), (1.0, 0.0, 0.0)),
+}
+PROBLEM_IDS = tuple(_TABLE)
+_EVALUATORS = {pid: _evaluator(spec) for pid, spec in _TABLE.items()}
 
 
 def known_optima(problem_id: str, n: int) -> Optional[Tuple[Optional[np.ndarray], float]]:
@@ -263,14 +199,18 @@ def build(problem_id: str, n: int) -> Problem:
         Unknown id, or n not a positive multiple of the problem's block
         period (2 for pair problems, 3 for triples, 6 for ex2).
     """
-    if problem_id not in _FACTORIES:
+    spec = _TABLE.get(problem_id)
+    if spec is None:
         raise BadDimensionError(f"unknown problem id {problem_id!r}")
-    div = _DIVISOR[problem_id]
+    div = math.lcm(spec.width, len(spec.rows[0]))
     if n < div or n % div != 0:
         raise BadDimensionError(
             f"{problem_id} needs n to be a positive multiple of {div}, got {n}"
         )
-    objective, gradient, A, b, x0 = _FACTORIES[problem_id](n)
+    objective, gradient = _EVALUATORS[problem_id]
+    A, b = _block_constraints(n, spec.rows, spec.rhs)
+    x0 = np.resize(np.asarray(spec.start, dtype=float), n)
+    x0[:len(spec.head)] = spec.head
     opt = known_optima(problem_id, n)
     if opt is None:
         f_star, note = None, None

@@ -155,9 +155,11 @@ def factor(cs: ConstraintSystem, rank_tol: Optional[float] = None) -> Projector:
     cs : ConstraintSystem
         Constraints to factor; ``cs.A`` is read as CSR.
     rank_tol : float, optional
-        Relative rank gate: factorization fails if any diagonal entry of
-        any block's R satisfies ``|r_ii| <= rank_tol * max |r_jj|``, the
-        maximum taken over all blocks. Defaults to ``1e-12 * n``.
+        Relative rank gate, applied to each component on its own:
+        factorization fails if a diagonal entry of a component's R
+        satisfies ``|r_ii| <= rank_tol * max |r_jj|``, the maximum taken
+        over that component's R, so independent blocks of very different
+        scale pass. Defaults to ``1e-12 * n``.
 
     Raises
     ------
@@ -213,17 +215,17 @@ def factor(cs: ConstraintSystem, rank_tol: Optional[float] = None) -> Projector:
         q, rr = np.linalg.qr(at)
         blocks.append((rows, cols, q, rr))
 
-    diags = [np.abs(np.diagonal(rr, axis1=1, axis2=2)) for *_, rr in blocks]
     if rank_tol is None:
         rank_tol = 1e-12 * n
-    gate = rank_tol * max(d.max() for d in diags)
-    worst = min(range(len(diags)), key=lambda i: diags[i].min())
-    if diags[worst].min() <= gate:
-        rows = blocks[worst][0][np.argmin(diags[worst].min(axis=1))]
-        raise RankDeficientError(
-            f"constraint matrix is rank deficient: rows {rows.tolist()} have "
-            f"min |R diag| = {diags[worst].min():.3e}"
-        )
+    for rows, _, _, rr in blocks:
+        diag = np.abs(np.diagonal(rr, axis1=1, axis2=2))
+        bad = np.flatnonzero(diag.min(axis=1) <= rank_tol * diag.max(axis=1))
+        if bad.size:
+            raise RankDeficientError(
+                f"constraint matrix is rank deficient: rows "
+                f"{rows[bad[0]].tolist()} have min |R diag| = "
+                f"{diag[bad[0]].min():.3e}"
+            )
 
     groups = tuple(
         BlockGroup(rows=rows, cols=cols, q=q, r=rr,

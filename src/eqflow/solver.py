@@ -257,16 +257,16 @@ def solve(problem, config: Optional[SolverConfig] = None,
         accepted = rho > cfg.eta_a
 
         pg_2 = float(np.linalg.norm(pg))
-        # H has eigenvalues > 1/2, so the model decrease is bounded below
-        # by dt/(4(1+dt)) * ||pg||^2 up to rounding.
-        assert md >= dt / (4.0 * (1.0 + dt)) * pg_2 ** 2 - 1e-12
-
         record = IterationRecord(k=k, f=f, pg_norm_inf=pg_inf, pg_norm_2=pg_2,
                                  dt=dt, rho=rho, accepted=accepted,
                                  model_decrease=md)
         history.append(record)
         if callback is not None:
             callback(record)
+        # H has eigenvalues > 1/2, so the model decrease is bounded below
+        # by dt/(4(1+dt)) * ||pg||^2 up to rounding.
+        if not md >= dt / (4.0 * (1.0 + dt)) * pg_2 ** 2 - 1e-12:
+            return finish(Status.NUMERICAL_ERROR, x, f, g)
 
         if accepted:
             if g_trial is None:
@@ -278,7 +278,8 @@ def solve(problem, config: Optional[SolverConfig] = None,
             pair = CurvaturePair.from_step(s, pg_trial - pg)
             x, f, g, pg = x_trial, f_trial, g_trial, pg_trial
             stalled = 0
-            assert float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol
+            if not float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol:
+                return finish(Status.NUMERICAL_ERROR, x, f, g)
         else:
             stalled = stalled + 1 if dt <= cfg.dt_min else 0
             if stalled >= _STALL_LIMIT:

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from eqflow import (ConstraintSystem, PAPER_DIMS, PROBLEM_IDS, Status, build,
-                    dense_h, direction, factor, make_feasible,
-                    project_gradient, solve)
+                    direction, factor, make_feasible, project_gradient, solve)
 from eqflow.cli import main
 from eqflow.direction import CurvaturePair, curvature_gate
+from oracles import dense_h
 
 DESK_N = 120
 

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eqflow import (CurvaturePair, DimensionMismatchError, curvature_gate,
-                    dense_h, direction)
+                    direction)
+from oracles import dense_h
 
 THETA = 1e-6
 

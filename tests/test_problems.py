@@ -1,11 +1,16 @@
 """Benchmark problem construction: formulas, constraints, starts, optima."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from eqflow import (BadDimensionError, PAPER_DIMS, PROBLEM_IDS, build, factor,
                     gradient_check, known_optima, project_gradient)
+from eqflow.problems import _Spec, _evaluator
 
 FEASIBLE_STARTS = ("ex1", "ex5", "ex9", "ex10")
 INFEASIBLE_STARTS = ("ex2", "ex3", "ex4", "ex6", "ex7", "ex8")
@@ -143,3 +148,52 @@ def test_build_attaches_known_f_star():
     assert build("ex8", 12).known_f_star is None
     assert build("ex5", 5000).known_f_star == pytest.approx(432.15)
     assert build("ex5", 120).known_f_star is None
+
+
+# ------------------------------------------- the derivation rule, property
+
+@st.composite
+def monomial_tables(draw):
+    """A random table entry (objective fields only) and points to test at."""
+    w = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        exponents = draw(st.lists(st.integers(0, 8), min_size=w, max_size=w))
+        if not any(exponents):  # every term has a variable
+            exponents[draw(st.integers(0, w - 1))] = draw(st.integers(1, 8))
+        terms.append((draw(st.floats(-3.0, 3.0)), tuple(exponents)))
+    shift = tuple(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                                min_size=w, max_size=w)))
+    spec = _Spec(w, tuple(terms), ((1.0,) * w,), (1.0,), (0.0,),
+                 shift=shift, const=draw(st.floats(-10.0, 10.0)))
+    n = w * draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return spec, rng.uniform(-1.0, 1.0, size=(3, n))
+
+
+def _scalar_terms(spec, x):
+    """Every term of every block, one scalar product at a time."""
+    return [c * math.prod((float(x[i + k]) - spec.shift[k]) ** e
+                          for k, e in enumerate(exponents))
+            for i in range(0, len(x), spec.width)
+            for c, exponents in spec.terms]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(monomial_tables())
+def test_evaluator_derives_objective_and_gradient(case):
+    spec, points = case
+    objective, gradient = _evaluator(spec)
+    for x in points:
+        terms = _scalar_terms(spec, x)
+        scale = 1.0 + sum(abs(t) for t in terms) + abs(spec.const)
+        assert objective(x) == pytest.approx(math.fsum(terms) + spec.const,
+                                             rel=0.0, abs=1e-13 * scale)
+        g = gradient(x)
+        assert g.shape == x.shape
+        for i in range(len(x)):
+            h = 1e-6 * (1.0 + abs(x[i]))
+            e = np.zeros(len(x))
+            e[i] = h
+            fd = (objective(x + e) - objective(x - e)) / (2.0 * h)
+            assert abs(fd - g[i]) <= 1e-6 * (1.0 + abs(g[i])) + 1e-9 * scale

@@ -170,6 +170,29 @@ def test_factor_rank_deficient():
         factor(ConstraintSystem(A=tall, b=np.zeros(3)))
 
 
+def test_factor_rank_gate_per_component():
+    # full-rank blocks 1e16 apart in scale: each is judged on its own R
+    A = np.array([[1e8, 1e8, 0.0, 0.0], [0.0, 0.0, 1e-8, 1e-8]])
+    cs = ConstraintSystem(A=sp.csr_matrix(A), b=np.array([4.0, 2e-8]))
+    p = factor(cs)
+    g = np.array([1.0, 3.0, -2.0, 6.0])
+    assert_allclose(project_gradient(p, g), dense_projection(A) @ g, atol=1e-14)
+    assert_allclose(project_gradient(p, g), [-1.0, 1.0, -4.0, 4.0], atol=1e-14)
+    assert_allclose(make_feasible(p, np.zeros(4)), [2e-8, 2e-8, 1.0, 1.0],
+                    rtol=1e-14)
+    assert_allclose(multipliers(p, g), [-2e-8, -2e8], rtol=1e-14)
+    # a dependent pair or a stored-zero row at the small scale still fails
+    pair = np.zeros((3, 6))
+    pair[0, :2] = 1e8
+    pair[1:, 2:5] = 1e-8 * np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0]])
+    with pytest.raises(RankDeficientError, match=r"rows \[1, 2\]"):
+        factor(ConstraintSystem(A=sp.csr_matrix(pair), b=np.zeros(3)))
+    stored = sp.csr_matrix((np.array([1e8, 1e8, 0.0]), np.array([0, 1, 2]),
+                            np.array([0, 2, 3])), shape=(2, 4))
+    with pytest.raises(RankDeficientError, match=r"rows \[1\]"):
+        factor(ConstraintSystem(A=stored, b=np.zeros(2)))
+
+
 def test_component_labels_match_csgraph():
     # each column's label is the smallest column of its connected component
     # in the bipartite row/column graph; scipy's csgraph is the reference

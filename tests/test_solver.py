@@ -241,6 +241,24 @@ def test_solve_numerical_error_on_bad_objective():
     assert result.status is Status.NUMERICAL_ERROR
 
 
+def test_solve_failed_invariants_end_with_numerical_error(monkeypatch):
+    problem = build("ex1", 12)
+    with monkeypatch.context() as patch:
+        # an identity "projection" lets the first accepted step leave Ax = b
+        patch.setattr("eqflow.solver.project_gradient",
+                      lambda p, g: np.asarray(g, dtype=float))
+        result = solve(problem)
+    assert result.status is Status.NUMERICAL_ERROR
+    assert result.steps == result.total_iters == 1
+    assert result.feas_inf > 1e-9 * 5.0
+    with monkeypatch.context() as patch:
+        # an ascent direction breaks the model-decrease bound
+        patch.setattr("eqflow.solver.direction", lambda pg, pair, theta: pg)
+        result = solve(problem)
+    assert result.status is Status.NUMERICAL_ERROR
+    assert result.total_iters == 1 and result.history[0].model_decrease < 0.0
+
+
 def test_solve_overflowing_trial_is_rejected_not_fatal():
     # the objective "overflows" outside a ball around the start; with a big
     # initial dt the first trial lands there, must be rejected via rho=-inf,
