@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,27 +30,6 @@ GRAD_TOL = 1e-5
 
 def _fmt(x: float) -> str:
     return f"{x:.8e}"
-
-
-def _load_config(args) -> SolverConfig:
-    cfg = SolverConfig()
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
-        valid = {f.name for f in fields(SolverConfig)}
-        unknown = set(data) - valid
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for key, value in data.items():
-            setattr(cfg, key, type(getattr(cfg, key))(value))
-    if getattr(args, "tol", None) is not None:
-        cfg.eps = args.tol
-    if getattr(args, "dt0", None) is not None:
-        cfg.dt0 = args.dt0
-    if getattr(args, "max_iter", None) is not None:
-        cfg.max_iter = args.max_iter
-    cfg.validate()
-    return cfg
 
 
 def _write_history(path, history):
@@ -78,7 +57,7 @@ def _solve_row(problem, cfg):
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args)
+    cfg = SolverConfig(eps=args.tol, dt0=args.dt0, max_iter=args.max_iter)
     problem = build(args.problem, args.n)
     result, row = _solve_row(problem, cfg)
 
@@ -114,7 +93,7 @@ def _format_suite_row(row, timing) -> str:
 
 
 def cmd_suite(args) -> int:
-    cfg = _load_config(args)
+    cfg = SolverConfig()
     ids = list(PROBLEM_IDS)
     if args.only:
         requested = [p.strip() for p in args.only.split(",") if p.strip()]
@@ -171,12 +150,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one benchmark problem")
     p_solve.add_argument("--problem", required=True, choices=PROBLEM_IDS)
     p_solve.add_argument("--n", type=int, required=True)
-    p_solve.add_argument("--tol", type=float, help="termination tolerance on ||pg||_inf")
-    p_solve.add_argument("--dt0", type=float, help="initial time step")
-    p_solve.add_argument("--max-iter", type=int, dest="max_iter")
+    p_solve.add_argument("--tol", type=float, default=SolverConfig.eps,
+                         help="termination tolerance on ||pg||_inf")
+    p_solve.add_argument("--dt0", type=float, default=SolverConfig.dt0,
+                         help="initial time step")
+    p_solve.add_argument("--max-iter", type=int, dest="max_iter",
+                         default=SolverConfig.max_iter)
     p_solve.add_argument("--json", help="write a JSON result file")
     p_solve.add_argument("--history", help="write per-iteration history CSV")
-    p_solve.add_argument("--config", help="JSON file with solver config fields")
     p_solve.set_defaults(func=cmd_solve)
 
     p_suite = sub.add_parser("suite", help="run the ten-problem suite")
@@ -192,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--timing", action="store_true",
                          help="put measured wall_ms in the CSV (breaks "
                               "byte-reproducibility of the report)")
-    p_suite.add_argument("--config", help="JSON file with solver config fields")
     p_suite.set_defaults(func=cmd_suite)
 
     p_grad = sub.add_parser("check-grad", help="finite-difference gradient check")

@@ -14,10 +14,15 @@ time and memory; a general dense A is the one-component case.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
+
+
+# A component is rank deficient when some |r_ii| <= _RANK_GATE * n * max |r_jj|
+# over its own R, so independent blocks of very different scale pass.
+_RANK_GATE = 1e-12
 
 
 class DimensionMismatchError(ValueError):
@@ -143,7 +148,7 @@ def _grouped(keys, size):
     return order, starts
 
 
-def factor(cs: ConstraintSystem, rank_tol: Optional[float] = None) -> Projector:
+def factor(cs: ConstraintSystem) -> Projector:
     """Factor A^T = Q R by Householder reflections, one component at a time.
 
     The connected components of the bipartite row/column graph of A are
@@ -154,18 +159,14 @@ def factor(cs: ConstraintSystem, rank_tol: Optional[float] = None) -> Projector:
     ----------
     cs : ConstraintSystem
         Constraints to factor; ``cs.A`` is read as CSR.
-    rank_tol : float, optional
-        Relative rank gate, applied to each component on its own:
-        factorization fails if a diagonal entry of a component's R
-        satisfies ``|r_ii| <= rank_tol * max |r_jj|``, the maximum taken
-        over that component's R, so independent blocks of very different
-        scale pass. Defaults to ``1e-12 * n``.
 
     Raises
     ------
     RankDeficientError
         If A lacks (numerical) full row rank: a row has no nonzero entry,
-        a component has more rows than columns, or the rank gate trips.
+        a component has more rows than columns, or a diagonal entry of a
+        component's R satisfies ``|r_ii| <= 1e-12 * n * max |r_jj|``, the
+        maximum taken over that component's R.
         The message names the rows of the offending component.
     """
     a = sp.csr_array(cs.A)
@@ -215,8 +216,7 @@ def factor(cs: ConstraintSystem, rank_tol: Optional[float] = None) -> Projector:
         q, rr = np.linalg.qr(at)
         blocks.append((rows, cols, q, rr))
 
-    if rank_tol is None:
-        rank_tol = 1e-12 * n
+    rank_tol = _RANK_GATE * n
     for rows, _, _, rr in blocks:
         diag = np.abs(np.diagonal(rr, axis1=1, axis2=2))
         bad = np.flatnonzero(diag.min(axis=1) <= rank_tol * diag.max(axis=1))

@@ -25,6 +25,20 @@ import numpy as np
 from .direction import CurvaturePair, direction
 from .projection import factor, make_feasible, multipliers, project_gradient, residuals
 
+# Trust-region constants of the time step. A trial is accepted when its
+# ratio rho exceeds _ETA_A. dt grows by _GAMMA1 when |1 - rho| <= _ETA1,
+# shrinks by _GAMMA2 when |1 - rho| >= _ETA2, and stays in [_DT_MIN, _DT_MAX].
+_ETA_A = 1e-6
+_ETA1 = 0.25
+_ETA2 = 0.75
+_GAMMA1 = 2.0
+_GAMMA2 = 0.5
+_DT_MIN = 1e-16
+_DT_MAX = 1e16
+
+# The quasi-Newton pair is used only when |s.y| > _THETA * ||s||^2.
+_THETA = 1e-6
+
 # Consecutive rejections at the dt floor before the solver gives up.
 _STALL_LIMIT = 50
 
@@ -37,55 +51,32 @@ _EPS = float(np.finfo(float).eps)
 class Status(str, Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
-    MAX_EVALUATIONS = "max_evaluations"
     STALLED_TIME_STEP = "stalled_time_step"
     NUMERICAL_ERROR = "numerical_error"
 
 
 @dataclass
 class SolverConfig:
-    """Tunable constants of the solve loop.
+    """What a caller chooses for a solve; the rest of the recipe is fixed.
 
-    The defaults are the standard settings: eps terminates on
-    ``||pg||_inf``, dt0 seeds the time step, eta_a is the acceptance
-    threshold on the ratio test, (eta1, eta2, gamma1, gamma2) drive the
-    time-step adjustment, and theta gates the quasi-Newton update.
+    eps terminates on ``||pg||_inf <= eps``, dt0 seeds the time step and
+    max_iter caps the loop iterations, rejected trials included. The
+    trust-region thresholds, the dt bounds and the curvature gate are
+    module constants.
     """
 
     eps: float = 1e-6
     dt0: float = 1e-2
-    eta_a: float = 1e-6
-    eta1: float = 0.25
-    gamma1: float = 2.0
-    eta2: float = 0.75
-    gamma2: float = 0.5
-    theta: float = 1e-6
     max_iter: int = 10000
-    max_fun_evals: int = 50000
-    dt_min: float = 1e-16
-    dt_max: float = 1e16
 
     def validate(self) -> None:
-        if not (0.0 < self.eta_a < self.eta1 < self.eta2 < 1.0):
-            raise ValueError(
-                f"need 0 < eta_a < eta1 < eta2 < 1, got "
-                f"{self.eta_a}, {self.eta1}, {self.eta2}"
-            )
-        if not self.gamma1 > 1.0:
-            raise ValueError(f"gamma1 must exceed 1, got {self.gamma1}")
-        if not 0.0 < self.gamma2 < 1.0:
-            raise ValueError(f"gamma2 must lie in (0, 1), got {self.gamma2}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if not (0.0 < self.dt_min <= self.dt0 <= self.dt_max):
+        if not _DT_MIN <= self.dt0 <= _DT_MAX:
             raise ValueError(
-                f"need 0 < dt_min <= dt0 <= dt_max, got "
-                f"{self.dt_min}, {self.dt0}, {self.dt_max}"
-            )
-        if self.max_iter < 1 or self.max_fun_evals < 1:
-            raise ValueError("iteration and evaluation caps must be positive")
+                f"need {_DT_MIN:g} <= dt0 <= {_DT_MAX:g}, got {self.dt0}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -127,49 +118,40 @@ def model_decrease(dt: float, g, s) -> float:
     return -(1.0 + 0.5 * dt) / (1.0 + dt) * float(np.dot(g, s))
 
 
-def ratio(f_old: float, f_new: float, md: float) -> float:
-    """Actual-over-predicted decrease; -inf whenever the test is unusable.
-
-    A non-positive or non-finite predicted decrease, or a non-finite trial
-    value, forces the rejection branch.
-    """
-    if not math.isfinite(md) or md <= 0.0 or not math.isfinite(f_new):
-        return -math.inf
-    return (f_old - f_new) / md
-
-
 def trial_ratio(f_old: float, f_new: float, md: float, g, s,
                 gradient_at_trial: Callable[[], np.ndarray]):
-    """Ratio test of a trial step that keeps its signal at f's noise floor.
+    """Actual-over-predicted decrease of a trial step, kept at f's noise floor.
 
-    Returns ``(rho, g_trial)``. Away from the noise floor this is
-    ``(ratio(f_old, f_new, md), None)``. When ``|f_old - f_new| <=
-    _NOISE_FLOOR * eps_mach * max(|f_old|, |f_new|)`` (``_NOISE_FLOOR`` =
-    1e3), the difference of the two values is mostly rounding and says
-    nothing of the step. The actual decrease is then the trapezoidal
+    Returns ``(rho, g_trial)``. A non-positive or non-finite predicted
+    decrease ``md``, or a non-finite trial value ``f_new``, gives
+    ``(-inf, None)``, which rejects the step. Otherwise rho is
+    ``(f_old - f_new) / md`` with ``g_trial`` None, unless ``|f_old - f_new|
+    <= _NOISE_FLOOR * eps_mach * max(|f_old|, |f_new|)`` (``_NOISE_FLOOR`` =
+    1e3): there the difference of the two values is mostly rounding and
+    says nothing of the step. The actual decrease is then the trapezoidal
     estimate ``-(g + g_trial).s / 2``, exact for quadratics, for which
     ``gradient_at_trial()`` is called once; ``g_trial`` is returned so an
     accepted step reuses it. A non-finite estimate rejects the step. This
     is the switch of Hager & Zhang's approximate Wolfe conditions (SIAM J.
     Optim. 16(1), 2005).
     """
-    if (math.isfinite(md) and md > 0.0 and math.isfinite(f_new)
-            and abs(f_old - f_new)
-            <= _NOISE_FLOOR * _EPS * max(abs(f_old), abs(f_new))):
-        g_trial = np.asarray(gradient_at_trial(), dtype=float)
-        decrease = -0.5 * float(np.dot(g + g_trial, s))
-        return (decrease / md if math.isfinite(decrease) else -math.inf), g_trial
-    return ratio(f_old, f_new, md), None
+    if not math.isfinite(md) or md <= 0.0 or not math.isfinite(f_new):
+        return -math.inf, None
+    if abs(f_old - f_new) > _NOISE_FLOOR * _EPS * max(abs(f_old), abs(f_new)):
+        return (f_old - f_new) / md, None
+    g_trial = np.asarray(gradient_at_trial(), dtype=float)
+    decrease = -0.5 * float(np.dot(g + g_trial, s))
+    return (decrease / md if math.isfinite(decrease) else -math.inf), g_trial
 
 
-def update_dt(dt: float, rho: float, cfg: SolverConfig) -> float:
-    """Trust-region adjustment of the time step, clamped to [dt_min, dt_max]."""
+def update_dt(dt: float, rho: float) -> float:
+    """Trust-region adjustment of the time step, clamped to [_DT_MIN, _DT_MAX]."""
     dev = abs(1.0 - rho)
-    if dev <= cfg.eta1:
-        dt = cfg.gamma1 * dt
-    elif dev >= cfg.eta2:
-        dt = cfg.gamma2 * dt
-    return min(max(dt, cfg.dt_min), cfg.dt_max)
+    if dev <= _ETA1:
+        dt = _GAMMA1 * dt
+    elif dev >= _ETA2:
+        dt = _GAMMA2 * dt
+    return min(max(dt, _DT_MIN), _DT_MAX)
 
 
 def _finite(value) -> bool:
@@ -188,7 +170,8 @@ def solve(problem, config: Optional[SolverConfig] = None,
         point may be infeasible; it is projected onto the constraint set
         before the first evaluation.
     config : SolverConfig, optional
-        Loop constants; validated defaults are used when omitted.
+        Tolerance, initial time step and iteration cap; validated defaults
+        are used when omitted.
     callback : callable, optional
         Invoked once per loop iteration with the IterationRecord.
 
@@ -235,55 +218,55 @@ def solve(problem, config: Optional[SolverConfig] = None,
     stalled = 0
 
     while True:
+        # Once per accepted point: a rejected trial leaves x, g and pg as
+        # they are, so the test, the norms and d carry over to the next trial.
         pg_inf = float(np.max(np.abs(pg)))
         if pg_inf <= cfg.eps:
             return finish(Status.CONVERGED, x, f, g)
-        if k >= cfg.max_iter:
-            return finish(Status.MAX_ITERATIONS, x, f, g)
-        if n_f >= cfg.max_fun_evals:
-            return finish(Status.MAX_EVALUATIONS, x, f, g)
-
-        d = direction(pg, pair, cfg.theta)
-        s = trial_step(dt, d)
-        x_trial = x + s
-        f_trial = float(problem.objective(x_trial))
-        n_f += 1
-
-        md = model_decrease(dt, g, s)
-        rho, g_trial = trial_ratio(f, f_trial, md, g, s,
-                                   lambda: problem.gradient(x_trial))
-        if g_trial is not None:
-            n_g += 1
-        accepted = rho > cfg.eta_a
-
         pg_2 = float(np.linalg.norm(pg))
-        record = IterationRecord(k=k, f=f, pg_norm_inf=pg_inf, pg_norm_2=pg_2,
-                                 dt=dt, rho=rho, accepted=accepted,
-                                 model_decrease=md)
-        history.append(record)
-        if callback is not None:
-            callback(record)
-        # H has eigenvalues > 1/2, so the model decrease is bounded below
-        # by dt/(4(1+dt)) * ||pg||^2 up to rounding.
-        if not md >= dt / (4.0 * (1.0 + dt)) * pg_2 ** 2 - 1e-12:
-            return finish(Status.NUMERICAL_ERROR, x, f, g)
+        d = direction(pg, pair, _THETA)
 
-        if accepted:
-            if g_trial is None:
-                g_trial = np.asarray(problem.gradient(x_trial), dtype=float)
+        while True:
+            if k >= cfg.max_iter:
+                return finish(Status.MAX_ITERATIONS, x, f, g)
+            s = trial_step(dt, d)
+            x_trial = x + s
+            f_trial = float(problem.objective(x_trial))
+            n_f += 1
+
+            md = model_decrease(dt, g, s)
+            rho, g_trial = trial_ratio(f, f_trial, md, g, s,
+                                       lambda: problem.gradient(x_trial))
+            if g_trial is not None:
                 n_g += 1
-            if not _finite(g_trial):
+            accepted = rho > _ETA_A
+
+            record = IterationRecord(k=k, f=f, pg_norm_inf=pg_inf,
+                                     pg_norm_2=pg_2, dt=dt, rho=rho,
+                                     accepted=accepted, model_decrease=md)
+            history.append(record)
+            if callback is not None:
+                callback(record)
+            # H has eigenvalues > 1/2, so the model decrease is bounded below
+            # by dt/(4(1+dt)) * ||pg||^2 up to rounding.
+            if not md >= dt / (4.0 * (1.0 + dt)) * pg_2 ** 2 - 1e-12:
                 return finish(Status.NUMERICAL_ERROR, x, f, g)
-            pg_trial = project_gradient(proj, g_trial)
-            pair = CurvaturePair.from_step(s, pg_trial - pg)
-            x, f, g, pg = x_trial, f_trial, g_trial, pg_trial
-            stalled = 0
-            if not float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol:
-                return finish(Status.NUMERICAL_ERROR, x, f, g)
-        else:
-            stalled = stalled + 1 if dt <= cfg.dt_min else 0
+
+            stalled = stalled + 1 if not accepted and dt <= _DT_MIN else 0
             if stalled >= _STALL_LIMIT:
                 return finish(Status.STALLED_TIME_STEP, x, f, g)
+            dt = update_dt(dt, rho)
+            k += 1
+            if accepted:
+                break
 
-        dt = update_dt(dt, rho, cfg)
-        k += 1
+        if g_trial is None:
+            g_trial = np.asarray(problem.gradient(x_trial), dtype=float)
+            n_g += 1
+        if not _finite(g_trial):
+            return finish(Status.NUMERICAL_ERROR, x, f, g)
+        pg_trial = project_gradient(proj, g_trial)
+        pair = CurvaturePair.from_step(s, pg_trial - pg)
+        x, f, g, pg = x_trial, f_trial, g_trial, pg_trial
+        if not float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol:
+            return finish(Status.NUMERICAL_ERROR, x, f, g)

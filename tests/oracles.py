@@ -4,7 +4,7 @@ from typing import Optional
 
 import numpy as np
 
-from eqflow import CurvaturePair, curvature_gate
+from eqflow.direction import CurvaturePair, curvature_gate
 
 
 def dense_h(pair: Optional[CurvaturePair], theta: float, n: int) -> np.ndarray:

@@ -61,29 +61,14 @@ def test_solve_non_converged_exit_two(tmp_path):
                  "--max-iter", "1"]) == 2
 
 
-def test_solve_config_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"eps": 1e-3, "dt0": 0.5}))
+def test_solve_flags_set_config(tmp_path):
     out = tmp_path / "r.json"
-    code = main(["solve", "--problem", "ex3", "--n", "12",
-                 "--config", str(cfg), "--json", str(out)])
-    assert code == 0
+    assert main(["solve", "--problem", "ex3", "--n", "12", "--tol", "1e-3",
+                 "--dt0", "0.5", "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["config"]["eps"] == 1e-3
-    assert payload["config"]["dt0"] == 0.5
-    # command-line flag overrides the file value
-    code = main(["solve", "--problem", "ex3", "--n", "12", "--config", str(cfg),
-                 "--tol", "1e-8", "--json", str(out)])
-    assert code == 0
-    assert json.loads(out.read_text())["config"]["eps"] == 1e-8
-
-
-def test_solve_config_unknown_field(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epsilon": 1e-3}))
+    assert payload["config"] == {"eps": 1e-3, "dt0": 0.5, "max_iter": 10000}
     assert main(["solve", "--problem", "ex3", "--n", "12",
-                 "--config", str(cfg)]) == 1
-    assert "unknown config fields" in capsys.readouterr().err
+                 "--config", str(out)]) == 1
 
 
 def test_suite_subset(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eqflow import (CurvaturePair, DimensionMismatchError, curvature_gate,
-                    direction)
+from eqflow import CurvaturePair, DimensionMismatchError, direction
+from eqflow.direction import curvature_gate
 from oracles import dense_h
 
 THETA = 1e-6

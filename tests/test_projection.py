@@ -9,6 +9,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse.csgraph import connected_components
 
@@ -278,6 +280,57 @@ def test_projection_properties_random():
         assert np.linalg.norm(project_gradient(p, pg) - pg) <= 1e-10 * max(gnorm, 1.0)
         assert np.max(np.abs(cs.A @ pg)) <= 1e-10 * gnorm
         assert np.linalg.norm(pg) <= gnorm * (1.0 + 1e-12)
+
+
+BLOCK_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 5), (4, 7)]
+
+
+@st.composite
+def scaled_block_systems(draw):
+    """Unscaled block A0 (rows and columns permuted), row scales d, b0, g, x0.
+
+    Each block of d * A0 is scaled by 10^U(-8, 8) and each of its rows by
+    10^U(-3, 3). Row scaling keeps the null space, and with right-hand side
+    d * b0 the feasible set, of the unscaled system.
+    """
+    blocks = draw(st.lists(st.sampled_from(BLOCK_SHAPES), min_size=1, max_size=8))
+    free = draw(st.integers(0, 3))
+    m = sum(r for r, _ in blocks)
+    n = sum(c for _, c in blocks) + free
+    assume(m < n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A0 = np.zeros((m, n))
+    d = np.empty(m)
+    i = j = 0
+    for r, c in blocks:
+        A0[i:i + r, j:j + c] = rng.standard_normal((r, c))
+        d[i:i + r] = 10.0 ** rng.uniform(-8, 8) * 10.0 ** rng.uniform(-3, 3, r)
+        i, j = i + r, j + c
+    rows, cols = rng.permutation(m), rng.permutation(n)
+    return (A0[rows][:, cols], d[rows], rng.standard_normal(m),
+            rng.standard_normal(n), rng.standard_normal(n))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(scaled_block_systems())
+def test_projector_properties_scaled_blocks(case):
+    A0, d, b0, g, x0 = case
+    A = d[:, None] * A0
+    cs0 = ConstraintSystem(A=sp.csr_matrix(A0), b=b0)
+    p0, p = factor(cs0), factor(ConstraintSystem(A=sp.csr_matrix(A), b=d * b0))
+    gnorm = np.linalg.norm(g)
+    pg = project_gradient(p, g)
+    assert_allclose(project_gradient(p, pg), pg, rtol=0, atol=1e-10 * gnorm)
+    assert np.all(np.abs(A @ pg) <= 1e-10 * np.linalg.norm(A, axis=1) * gnorm)
+    # the unscaled system is well conditioned, so it meets the dense oracles,
+    # and the scaled one must agree with it
+    assert_matches_oracles(cs0, A0, np.random.default_rng(0), atol=1e-9)
+    assert_allclose(pg, project_gradient(p0, g), rtol=0, atol=1e-10 * gnorm)
+    scale = 1.0 + np.linalg.norm(x0) + np.linalg.norm(b0)
+    assert_allclose(make_feasible(p, x0), make_feasible(p0, x0),
+                    rtol=0, atol=1e-9 * scale)
+    assert_allclose(d * multipliers(p, g), multipliers(p0, g),
+                    rtol=1e-8, atol=1e-10 * gnorm)
 
 
 # ------------------------------------------------------------ make_feasible
