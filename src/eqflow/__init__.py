@@ -4,9 +4,10 @@ from .direction import CurvaturePair, direction
 from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
                        GradientCheckReport, Problem, build, gradient_check,
                        known_optima)
-from .projection import (ConstraintSystem, DimensionMismatchError, Projector,
-                         RankDeficientError, factor, make_feasible,
-                         multipliers, project_gradient, residuals)
+from .projection import (ConstraintSystem, DimensionMismatchError,
+                         NonFiniteError, Projector, RankDeficientError, factor,
+                         make_feasible, multipliers, project_gradient,
+                         residuals)
 from .solver import IterationRecord, SolveResult, SolverConfig, Status, solve
 
 __version__ = "0.1.0"
@@ -14,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConstraintSystem", "Projector", "factor", "project_gradient",
     "make_feasible", "multipliers", "residuals",
-    "DimensionMismatchError", "RankDeficientError",
+    "DimensionMismatchError", "NonFiniteError", "RankDeficientError",
     "CurvaturePair", "direction",
     "SolverConfig", "SolveResult", "IterationRecord", "Status", "solve",
     "Problem", "build", "gradient_check", "known_optima",

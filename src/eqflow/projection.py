@@ -33,12 +33,35 @@ class RankDeficientError(ValueError):
     """The constraint matrix does not have full row rank."""
 
 
+class NonFiniteError(ValueError):
+    """A constraint entry is NaN or infinite."""
+
+
+def _first_non_finite(A):
+    """(row, column, value) of a non-finite entry of A in the first row that
+    has one, and how many there are; None if every entry is finite."""
+    if sp.issparse(A):
+        A = A.tocsr()
+        bad = np.flatnonzero(~np.isfinite(A.data))
+        if not bad.size:
+            return None
+        k = bad[0]
+        row = np.searchsorted(A.indptr, k, side="right") - 1
+        return int(row), int(A.indices[k]), A.data[k], bad.size
+    bad = np.argwhere(~np.isfinite(A))
+    if not bad.size:
+        return None
+    i, j = bad[0]
+    return int(i), int(j), A[i, j], len(bad)
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Linear equality constraints Ax = b with A of shape (m, n), m < n.
 
-    ``A`` may be dense or scipy.sparse. Full row rank is checked by
-    :func:`factor`, not here.
+    ``A`` may be dense or scipy.sparse. A NaN or infinite entry of ``A``
+    (a stored one, if sparse) or of ``b`` raises :class:`NonFiniteError`
+    naming it. Full row rank is checked by :func:`factor`, not here.
     """
 
     A: object
@@ -54,6 +77,19 @@ class ConstraintSystem:
         if b.shape[0] != m:
             raise DimensionMismatchError(
                 f"right-hand side has length {b.shape[0]}, expected {m}"
+            )
+        bad = _first_non_finite(self.A)
+        if bad is not None:
+            i, j, value, count = bad
+            raise NonFiniteError(
+                f"constraint matrix entry A[{i}, {j}] = {value} is not finite "
+                f"({count} in all)"
+            )
+        bad = np.flatnonzero(~np.isfinite(b))
+        if bad.size:
+            raise NonFiniteError(
+                f"right-hand side entry b[{bad[0]}] = {b[bad[0]]} is not finite "
+                f"({bad.size} in all)"
             )
         object.__setattr__(self, "b", b)
 

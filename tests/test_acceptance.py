@@ -236,15 +236,12 @@ def test_criterion_7_invariants_during_solves():
 
 
 def test_criterion_8_gradient_checks():
-    ok = True
-    failing = []
-    for pid in PROBLEM_IDS:
-        code = main(["check-grad", "--problem", pid, "--n", str(DESK_N)])
-        if code != 0:
-            ok = False
-            failing.append(pid)
-    _report(8, "finite-difference gradient checks (n=120)", ok,
-            " ".join(failing) or "all ten within 1e-5")
+    failing = [f"{pid}@{n}" for pid in PROBLEM_IDS
+               for n in (DESK_N, PAPER_DIMS[pid])
+               if main(["check-grad", "--problem", pid, "--n", str(n)]) != 0]
+    ok = not failing
+    _report(8, "finite-difference gradient checks (n=120 and paper sizes)", ok,
+            " ".join(failing) or "all ten within 1e-5 at both sizes")
     assert ok
 
 

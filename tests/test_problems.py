@@ -1,5 +1,6 @@
 """Benchmark problem construction: formulas, constraints, starts, optima."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from eqflow import (BadDimensionError, PAPER_DIMS, PROBLEM_IDS, build, factor,
-                    gradient_check, known_optima, project_gradient)
-from eqflow.problems import _Spec, _evaluator
+from eqflow import (BadDimensionError, ConstraintSystem, PAPER_DIMS, PROBLEM_IDS,
+                    Problem, build, factor, gradient_check, known_optima,
+                    make_feasible, project_gradient)
+from eqflow.problems import _TABLE, _Spec, _evaluator
 
 FEASIBLE_STARTS = ("ex1", "ex5", "ex9", "ex10")
 INFEASIBLE_STARTS = ("ex2", "ex3", "ex4", "ex6", "ex7", "ex8")
@@ -114,6 +116,118 @@ def test_gradient_against_finite_differences(pid):
     assert report.coord_errors.shape == (12,)
 
 
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_objective_is_const_plus_block_values(pid):
+    # the objective sums the very array the grouped check differences
+    p = build(pid, 24)
+    rng = np.random.default_rng(41)
+    for x in [p.x0] + list(rng.uniform(-2.0, 2.0, size=(5, 24))):
+        values = p.block_values(x)
+        assert values.shape == (24 // _TABLE[pid].width,)
+        assert p.objective(x) == _TABLE[pid].const + values.sum()
+
+
+def _with_wrong_coordinate(p, k):
+    """p with its gradient off by 1% (guarded) in coordinate k alone."""
+    def gradient(x):
+        g = p.gradient(x).copy()
+        g[k] += 0.01 * (1.0 + abs(g[k]))
+        return g
+    return dataclasses.replace(p, gradient=gradient)
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_gradient_check_flags_one_wrong_coordinate(pid):
+    # the error lands on the wrong coordinate, grouped or one block of n
+    k = 13
+    bad = _with_wrong_coordinate(build(pid, 24), k)
+    for problem in (bad, dataclasses.replace(bad, block_values=None)):
+        errors = gradient_check(problem, num_points=3, seed=5).coord_errors
+        assert errors[k] > 1e-5
+        assert np.all(np.delete(errors, k) <= 1e-5)
+
+
+def _counted(fn, calls):
+    def counted(x):
+        calls.append(1)
+        return fn(x)
+    return counted
+
+
+def _no_objective(x):
+    raise AssertionError("the grouped check called the objective")
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_gradient_check_call_counts(pid):
+    n, points = 24, 3
+    p = build(pid, n)
+    calls = []
+    gradient_check(dataclasses.replace(p, objective=_no_objective,
+                                       block_values=_counted(p.block_values, calls)),
+                   num_points=points)
+    # 2 per block column and point, plus one to count the blocks
+    assert len(calls) == 1 + 2 * _TABLE[pid].width * points
+    calls.clear()
+    gradient_check(dataclasses.replace(p, objective=_counted(p.objective, calls),
+                                       block_values=None),
+                   num_points=points)
+    assert len(calls) == 2 * n * points
+
+
+def _per_coordinate_errors(problem, num_points, seed):
+    """The check one coordinate at a time over the whole objective."""
+    proj = factor(problem.cs)
+    base = make_feasible(proj, problem.x0)
+    rng = np.random.default_rng(seed)
+    n = problem.n
+    worst = np.zeros(n)
+    for j in range(num_points):
+        x = base
+        if j > 0:
+            x = base + project_gradient(proj, rng.normal(scale=0.25, size=n))
+        g = np.asarray(problem.gradient(x), dtype=float)
+        fd = np.empty(n)
+        for i in range(n):
+            h = 1e-6 * (1.0 + abs(x[i]))
+            e = np.zeros(n)
+            e[i] = h
+            fd[i] = (problem.objective(x + e) - problem.objective(x - e)) / (2.0 * h)
+        err = np.abs(fd - g) / (1.0 + np.abs(g))
+        worst = np.maximum(worst, err)
+    return worst
+
+
+def _coupled_problem():
+    """A user problem that is not separable: log(1 + |x|^2) + (sum x)^3."""
+    rng = np.random.default_rng(43)
+    A = rng.standard_normal((2, 6))
+
+    def objective(x):
+        return float(np.log1p(x @ x) + x.sum() ** 3)
+
+    def gradient(x):
+        return 2.0 * x / (1.0 + x @ x) + 3.0 * x.sum() ** 2
+
+    return Problem(name="coupled", n=6, m=2, objective=objective,
+                   gradient=gradient, cs=ConstraintSystem(A=A, b=np.ones(2)),
+                   x0=rng.standard_normal(6))
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS + ("coupled",))
+def test_user_problem_report_is_per_coordinate(pid):
+    # without block_values, every coordinate gets exactly the central
+    # difference of the whole objective
+    if pid == "coupled":
+        p = _coupled_problem()
+    else:
+        p = dataclasses.replace(build(pid, 24), block_values=None)
+    report = gradient_check(p, num_points=4, seed=9)
+    expected = _per_coordinate_errors(p, 4, 9)
+    assert report.coord_errors.tobytes() == expected.tobytes()
+    assert report.max_rel_error == expected.max() <= 1e-5
+
+
 def test_ex9_gradient_block_values():
     p = build("ex9", 6)
     g = p.gradient(np.full(6, 2.0))
@@ -183,12 +297,20 @@ def _scalar_terms(spec, x):
 @given(monomial_tables())
 def test_evaluator_derives_objective_and_gradient(case):
     spec, points = case
-    objective, gradient = _evaluator(spec)
+    objective, gradient, block_values = _evaluator(spec)
     for x in points:
         terms = _scalar_terms(spec, x)
         scale = 1.0 + sum(abs(t) for t in terms) + abs(spec.const)
         assert objective(x) == pytest.approx(math.fsum(terms) + spec.const,
                                              rel=0.0, abs=1e-13 * scale)
+        values = block_values(x)
+        per_block = len(spec.terms)
+        assert values.shape == (len(terms) // per_block,)
+        for k, value in enumerate(values):
+            block = terms[k * per_block:(k + 1) * per_block]
+            assert value == pytest.approx(math.fsum(block), rel=0.0,
+                                          abs=1e-13 * (1.0 + sum(map(abs, block))))
+        assert objective(x) == spec.const + values.sum()
         g = gradient(x)
         assert g.shape == x.shape
         for i in range(len(x)):

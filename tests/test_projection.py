@@ -5,6 +5,7 @@ independently of the component-wise QR path under test.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse.csgraph import connected_components
 
-from eqflow import (ConstraintSystem, DimensionMismatchError,
+from eqflow import (ConstraintSystem, DimensionMismatchError, NonFiniteError,
                     RankDeficientError, build, factor, make_feasible,
                     multipliers, project_gradient, residuals)
-from eqflow.projection import _column_components
+from eqflow.projection import _RANK_GATE, _column_components
 
 
 def dense_projection(A):
@@ -247,6 +248,27 @@ def test_constraint_system_shape_validation():
         ConstraintSystem(A=np.ones((1, 3)), b=np.zeros(2))  # wrong b length
 
 
+def test_constraint_system_non_finite_entries():
+    A = np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 3.0]])
+    b = np.array([1.0, 2.0])
+    bad = A.copy()
+    bad[1, 2] = np.nan
+    bad[1, 3] = np.inf
+    with pytest.raises(NonFiniteError, match=r"A\[1, 2\] = nan .*\(2 in all\)"):
+        ConstraintSystem(A=bad, b=b)
+    # sparse: stored entries are checked, in row order whatever the format
+    bad = A.copy()
+    bad[1, 1] = -np.inf
+    for fmt in (sp.csr_matrix, sp.csc_matrix, sp.coo_array):
+        with pytest.raises(NonFiniteError, match=r"A\[1, 1\] = -inf"):
+            ConstraintSystem(A=fmt(bad), b=b)
+    with pytest.raises(NonFiniteError, match=r"b\[0\] = inf"):
+        ConstraintSystem(A=sp.csr_matrix(A), b=np.array([np.inf, 2.0]))
+    with pytest.raises(NonFiniteError, match=r"b\[1\] = nan"):
+        ConstraintSystem(A=A, b=np.array([1.0, np.nan]))
+    assert issubclass(NonFiniteError, ValueError)
+
+
 # ------------------------------------------------------- project_gradient
 
 def test_project_gradient_row_space_and_null_space():
@@ -331,6 +353,78 @@ def test_projector_properties_scaled_blocks(case):
                     rtol=0, atol=1e-9 * scale)
     assert_allclose(d * multipliers(p, g), multipliers(p0, g),
                     rtol=1e-8, atol=1e-10 * gnorm)
+
+
+@st.composite
+def one_component_systems(draw):
+    """A general A whose rows and used columns form one component."""
+    n = draw(st.integers(3, 12))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < draw(st.floats(0.3, 1.0)))
+    A *= 10.0 ** rng.uniform(-4, 4)
+    used = A[:, np.any(A, axis=0)]
+    assume(np.all(np.any(A, axis=1)))
+    graph = sp.bmat([[None, sp.csr_array(used)], [sp.csr_array(used.T), None]])
+    assume(connected_components(graph, directed=False)[0] == 1)
+    assume(np.linalg.cond(A) <= 1e3)
+    return A, rng.standard_normal(m), draw(st.booleans())
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(one_component_systems())
+def test_projector_properties_one_component(case):
+    A, b, sparse = case
+    cs = ConstraintSystem(A=sp.csr_matrix(A) if sparse else A, b=b)
+    (group,) = factor(cs).groups
+    assert group.rows.shape == (1, A.shape[0])
+    assert_array_equal(group.cols[0], np.flatnonzero(np.any(A, axis=0)))
+    assert_matches_oracles(cs, A, np.random.default_rng(1), atol=1e-9)
+
+
+@st.composite
+def nearly_dependent_pairs(draw):
+    """Rows (a, a + delta*v), unit v orthogonal to a, with delta a factor t
+    of the rank gate's threshold ``_RANK_GATE * n * |a|``: t < 1 lies below
+    it, t > 1 above it, up to delta = |a|, and many t lie within 2-100% of
+    1 on either side."""
+    c = draw(st.integers(3, 8))
+    n = c + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(c) * 10.0 ** rng.uniform(-4, 4)
+    v = rng.standard_normal(c)
+    v -= (v @ a) / (a @ a) * a
+    v /= np.linalg.norm(v)
+    t = draw(st.one_of(
+        st.floats(0.5, 0.98), st.floats(1.02, 2.0),
+        st.floats(0.0, -math.log10(_RANK_GATE * n)).map(lambda e: 10.0 ** e)))
+    assume(not 0.98 < t < 1.02)
+    below = t < 1.0
+    delta = t * _RANK_GATE * n * np.linalg.norm(a)
+    rows = [a, a + delta * v] if draw(st.booleans()) else [a + delta * v, a]
+    cols = rng.permutation(n)[:c]
+    A, basis = np.zeros((2, n)), np.zeros((2, n))
+    A[:, cols] = rows
+    basis[:, cols] = (a, v)
+    return A, basis, delta / np.linalg.norm(a), below, rng.standard_normal(n)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(nearly_dependent_pairs())
+def test_rank_gate_on_nearly_dependent_rows(case):
+    A, basis, rel_delta, below, g = case
+    cs = ConstraintSystem(A=sp.csr_matrix(A), b=np.zeros(2))
+    if below:
+        with pytest.raises(RankDeficientError, match=r"rows \[0, 1\]"):
+            factor(cs)
+        return
+    pg = project_gradient(factor(cs), g)
+    # null(A) = null(basis), and basis is well conditioned; the projection
+    # is as accurate as the condition of A, |a| / delta, allows
+    n, eps, gnorm = A.shape[1], np.finfo(float).eps, np.linalg.norm(g)
+    assert_allclose(pg, dense_projection(basis) @ g, rtol=0,
+                    atol=1e2 * n * eps / rel_delta * gnorm)
+    assert np.max(np.abs(A @ pg)) <= 1e2 * n * eps * np.abs(A).sum(axis=1).max() * gnorm
 
 
 # ------------------------------------------------------------ make_feasible
