@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
-                       build, gradient_check)
+                       build, gradient_check, known_optima)
 from .projection import DimensionMismatchError, RankDeficientError
 from .solver import SolverConfig, Status, solve
 
@@ -48,7 +48,7 @@ def _solve_row(problem, cfg):
     result = solve(problem, cfg)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return result, {
-        "problem": problem.name, "n": problem.n, "m": problem.m,
+        "problem": problem.name, "n": problem.n, "m": problem.cs.m,
         "status": result.status.value, "f_star": result.f_star,
         "kkt_inf": result.kkt_inf, "feas_inf": result.feas_inf,
         "accepted_steps": result.steps, "total_iters": result.total_iters,
@@ -61,7 +61,7 @@ def cmd_solve(args) -> int:
     problem = build(args.problem, args.n)
     result, row = _solve_row(problem, cfg)
 
-    print(f"problem        {problem.name}  (n={problem.n}, m={problem.m})")
+    print(f"problem        {problem.name}  (n={problem.n}, m={problem.cs.m})")
     print(f"status         {result.status.value}")
     print(f"f_star         {_fmt(result.f_star)}")
     print(f"kkt_inf        {_fmt(result.kkt_inf)}")
@@ -69,8 +69,11 @@ def cmd_solve(args) -> int:
     print(f"accepted steps {result.steps}  (of {result.total_iters} iterations)")
     print(f"evaluations    f: {result.n_f}  grad: {result.n_g}")
     print(f"wall time      {row['wall_ms']:.1f} ms")
-    if problem.known_f_star is not None:
-        print(f"known f_star   {_fmt(problem.known_f_star)} ({problem.f_star_note})")
+    known = known_optima(problem.name, problem.n)
+    if known is not None:
+        note = ("closed form (separable blocks)" if known[0] is not None
+                else "reference value at benchmark size")
+        print(f"known f_star   {_fmt(known[1])} ({note})")
 
     if args.json:
         payload = dict(row, lambda_inf=float(np.max(np.abs(result.lambda_star))),

@@ -3,7 +3,8 @@
 Each problem minimizes a separable polynomial objective subject to a
 block-banded system of linear equality constraints.  ``_TABLE`` is the
 definition: one entry per problem gives the monomial terms of an
-objective block, one block of constraint rows and the start point.  One
+objective block, one block of constraint rows, the start point, the
+benchmark size and the known optimum.  One
 evaluator turns an entry into the objective, its gradient and the
 per-block objective values, vectorized over the blocks; the gradient is
 derived from the terms by one rule, not written by hand, so
@@ -31,26 +32,14 @@ class BadDimensionError(ValueError):
     """The requested dimension violates the problem's divisibility rule."""
 
 
-# Benchmark sizes used for the reference results.
-PAPER_DIMS = {"ex1": 5000, "ex2": 4800, "ex3": 4800, "ex4": 5000,
-              "ex5": 5000, "ex6": 4800, "ex7": 5000, "ex8": 4800,
-              "ex9": 5000, "ex10": 4800}
 DESK_DIM = 120
-
-# Closed-form per-block optima (ex1, ex3) and reference objective values at
-# the benchmark sizes (others; ex8 has solver-dependent local minima).
-_EX1_BLOCK = (40.0 / 11.0, 4.0 / 11.0)
-_EX1_BLOCK_F = 160.0 / 11.0
-_EX3_BLOCK = (16.0 / 15.0, 1.0 / 3.0, -11.0 / 15.0)
-_EX3_BLOCK_F = 402.0 / 225.0
-_REFERENCE_F = {"ex2": 5.78e3, "ex4": 493.79, "ex5": 432.15, "ex6": 2.06e3,
-                "ex7": 5.94e4, "ex9": 2.21e5, "ex10": 2.00}
 
 
 @dataclass(frozen=True)
 class Problem:
     """A ready-to-solve instance: callbacks, constraints and start point.
 
+    The dimension ``n`` is that of ``cs``; ``cs.m`` counts the constraints.
     ``block_values``, when set, splits the objective into blocks of w
     consecutive variables, for some w that divides n: ``block_values(x)``
     has length n/w, its entry k depends on ``x[k*w:(k+1)*w]`` alone, and
@@ -59,15 +48,15 @@ class Problem:
     """
 
     name: str
-    n: int
-    m: int
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     cs: ConstraintSystem
     x0: np.ndarray
-    known_f_star: Optional[float] = None
-    f_star_note: Optional[str] = None
     block_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    @property
+    def n(self) -> int:
+        return self.cs.n
 
 
 def _block_constraints(n, rows, rhs):
@@ -83,7 +72,7 @@ def _block_constraints(n, rows, rhs):
 
 
 class _Spec(NamedTuple):
-    """A problem as data: objective terms, constraint block, start point.
+    """A problem as data: objective terms, constraints, start, optimum.
 
     The objective is ``const`` plus the sum, over blocks of ``width``
     consecutive variables, of the ``terms`` ``(c, (e_0, .., e_{width-1}))``,
@@ -91,6 +80,9 @@ class _Spec(NamedTuple):
     shift is 0; kept unexpanded, as expanding would cancel). ``rows`` and
     ``rhs`` are one block of constraints for ``_block_constraints``. x0
     repeats ``start``, then ``head`` overwrites its first entries.
+    ``paper_n`` is the benchmark size. A row has either an ``optimum``, the
+    closed-form minimizer of one constraint block and its value, or a
+    ``reference``, the objective's reference value at ``paper_n``.
     """
 
     width: int
@@ -98,9 +90,12 @@ class _Spec(NamedTuple):
     rows: Tuple[Tuple[float, ...], ...]
     rhs: Tuple[float, ...]
     start: Tuple[float, ...]
+    paper_n: int
     head: Tuple[float, ...] = ()
     shift: Tuple[float, ...] = ()
     const: float = 0.0
+    optimum: Optional[Tuple[Tuple[float, ...], float]] = None
+    reference: Optional[float] = None
 
 
 def _monomial(coef, exponents):
@@ -166,45 +161,53 @@ def _evaluator(spec):
 
 
 _TABLE = {
-    "ex1": _Spec(2, ((1, (2, 0)), (10, (0, 2))), ((1, 1),), (4.0,), (2.0,)),
+    "ex1": _Spec(2, ((1, (2, 0)), (10, (0, 2))), ((1, 1),), (4.0,), (2.0,),
+                 5000, optimum=((40.0 / 11.0, 4.0 / 11.0), 160.0 / 11.0)),
     "ex2": _Spec(2, ((1, (2, 0)), (2, (0, 2))), ((1, 4, 2),), (3.0,), (0.0,),
-                 head=(-0.5, 1.5, 1.0), shift=(2.0, 1.0), const=-5.0),
+                 4800, head=(-0.5, 1.5, 1.0), shift=(2.0, 1.0), const=-5.0,
+                 reference=5.78e3),
     "ex3": _Spec(1, ((1, (2,)),), ((1, 2, 1), (2, -1, -3)), (1.0, 4.0),
-                 (1.0, 0.5, -1.0)),
+                 (1.0, 0.5, -1.0), 4800,
+                 optimum=((16.0 / 15.0, 1.0 / 3.0, -11.0 / 15.0), 402.0 / 225.0)),
     "ex4": _Spec(2, ((1, (2, 0)), (1, (0, 6))), ((1, 1),), (1.0,), (1.0,),
-                 const=-1.0),
+                 5000, const=-1.0, reference=493.79),
     "ex5": _Spec(2, ((1, (4, 0)), (2, (0, 6))), ((1, 4),), (3.0,), (-1.0, 1.0),
-                 shift=(2.0, 1.0), const=-5.0),
+                 5000, shift=(2.0, 1.0), const=-5.0, reference=432.15),
     "ex6": _Spec(3, ((1, (2, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 6))),
-                 ((1, 2, 1), (2, -1, -3)), (1.0, 4.0), (0.0,), head=(2.0,)),
+                 ((1, 2, 1), (2, -1, -3)), (1.0, 4.0), (0.0,), 4800,
+                 head=(2.0,), reference=2.06e3),
     "ex7": _Spec(2, ((1, (4, 0)), (3, (0, 2))), ((1, 1),), (4.0,), (0.0,),
-                 head=(2.0, 2.0)),
+                 5000, head=(2.0, 2.0), reference=5.94e4),
     "ex8": _Spec(3, ((1, (2, 0, 0)), (1, (2, 0, 2)), (2, (1, 1, 0)),
-                     (1, (0, 4, 0)), (8, (0, 1, 0))),
-                 ((2, 5, 1),), (3.0,), (0.0,), head=(1.5,)),
-    "ex9": _Spec(2, ((1, (4, 0)), (10, (0, 6))), ((1, 1),), (4.0,), (2.0,)),
+                     (1, (0, 4, 0)), (8, (0, 1, 0))), ((2, 5, 1),), (3.0,),
+                 (0.0,), 4800, head=(1.5,), reference=-12124.458370231),
+    "ex9": _Spec(2, ((1, (4, 0)), (10, (0, 6))), ((1, 1),), (4.0,), (2.0,),
+                 5000, reference=2.21e5),
     "ex10": _Spec(3, ((1, (8, 0, 0)), (1, (0, 6, 0)), (1, (0, 0, 2))),
-                  ((1, 2, 2),), (1.0,), (1.0, 0.0, 0.0)),
+                  ((1, 2, 2),), (1.0,), (1.0, 0.0, 0.0), 4800, reference=2.00),
 }
 PROBLEM_IDS = tuple(_TABLE)
+PAPER_DIMS = {pid: spec.paper_n for pid, spec in _TABLE.items()}
 _EVALUATORS = {pid: _evaluator(spec) for pid, spec in _TABLE.items()}
 
 
 def known_optima(problem_id: str, n: int) -> Optional[Tuple[Optional[np.ndarray], float]]:
-    """Closed-form optimum for ex1/ex3; reference value at benchmark size else.
+    """Closed-form optimum (ex1, ex3) at any n, else reference value at the
+    benchmark size, as the problem's table entry states them.
 
     Returns ``(x_star_pattern, f_star)`` where the pattern is the repeating
     block of the minimizer (``None`` when only the objective value is
-    known), or ``None`` when nothing reliable is available (ex8, or a
-    reference-only problem away from its benchmark size).
+    known), or ``None`` when nothing is known (a reference-only problem
+    away from its benchmark size, or an unknown id).
     """
-    if problem_id == "ex1":
-        return np.asarray(_EX1_BLOCK), (n // 2) * _EX1_BLOCK_F
-    if problem_id == "ex3":
-        return np.asarray(_EX3_BLOCK), (n // 3) * _EX3_BLOCK_F
-    ref = _REFERENCE_F.get(problem_id)
-    if ref is not None and n == PAPER_DIMS[problem_id]:
-        return None, ref
+    spec = _TABLE.get(problem_id)
+    if spec is None:
+        return None
+    if spec.optimum is not None:
+        block, f_block = spec.optimum
+        return np.asarray(block), (n // len(block)) * f_block
+    if n == spec.paper_n:
+        return None, spec.reference
     return None
 
 
@@ -229,16 +232,8 @@ def build(problem_id: str, n: int) -> Problem:
     A, b = _block_constraints(n, spec.rows, spec.rhs)
     x0 = np.resize(np.asarray(spec.start, dtype=float), n)
     x0[:len(spec.head)] = spec.head
-    opt = known_optima(problem_id, n)
-    if opt is None:
-        f_star, note = None, None
-    elif opt[0] is not None:
-        f_star, note = opt[1], "closed form (separable blocks)"
-    else:
-        f_star, note = opt[1], "reference value at benchmark size"
-    return Problem(name=problem_id, n=n, m=A.shape[0], objective=objective,
-                   gradient=gradient, cs=ConstraintSystem(A=A, b=b), x0=x0,
-                   known_f_star=f_star, f_star_note=note,
+    return Problem(name=problem_id, objective=objective, gradient=gradient,
+                   cs=ConstraintSystem(A=A, b=b), x0=x0,
                    block_values=block_values)
 
 

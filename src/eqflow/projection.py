@@ -34,7 +34,7 @@ class RankDeficientError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A constraint entry is NaN or infinite."""
+    """A constraint or start-point entry is NaN or infinite."""
 
 
 def _first_non_finite(A):
@@ -53,6 +53,14 @@ def _first_non_finite(A):
         return None
     i, j = bad[0]
     return int(i), int(j), A[i, j], len(bad)
+
+
+def _require_finite(v, what):
+    """Raise NonFiniteError naming the first non-finite entry of vector v."""
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise NonFiniteError(f"{what}[{bad[0]}] = {v[bad[0]]} is not finite "
+                             f"({bad.size} in all)")
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,7 @@ class ConstraintSystem:
                 f"constraint matrix entry A[{i}, {j}] = {value} is not finite "
                 f"({count} in all)"
             )
-        bad = np.flatnonzero(~np.isfinite(b))
-        if bad.size:
-            raise NonFiniteError(
-                f"right-hand side entry b[{bad[0]}] = {b[bad[0]]} is not finite "
-                f"({bad.size} in all)"
-            )
+        _require_finite(b, "right-hand side entry b")
         object.__setattr__(self, "b", b)
 
     @property
@@ -281,8 +284,12 @@ def project_gradient(p: Projector, g) -> np.ndarray:
 
 
 def make_feasible(p: Projector, x0) -> np.ndarray:
-    """Return the feasible point closest to x0 in the Euclidean norm."""
+    """Return the feasible point closest to x0 in the Euclidean norm.
+
+    A NaN or infinite entry of x0 raises :class:`NonFiniteError` naming it.
+    """
     x0 = p._check_vec(x0, "initial point")
+    _require_finite(x0, "initial point entry x0")
     out = x0.copy()
     for grp in p.groups:
         out[grp.cols] -= grp.expand(grp.coefficients(x0) - grp.b_r)

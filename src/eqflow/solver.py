@@ -168,7 +168,8 @@ def solve(problem, config: Optional[SolverConfig] = None,
         Anything with ``objective(x) -> float``, ``gradient(x) -> array``,
         a ``cs`` ConstraintSystem and an initial point ``x0``. The initial
         point may be infeasible; it is projected onto the constraint set
-        before the first evaluation.
+        before the first evaluation. A NaN or infinite entry of ``x0``
+        raises :class:`NonFiniteError` naming it.
     config : SolverConfig, optional
         Tolerance, initial time step and iteration cap; validated defaults
         are used when omitted.
@@ -234,7 +235,9 @@ def solve(problem, config: Optional[SolverConfig] = None,
             f_trial = float(problem.objective(x_trial))
             n_f += 1
 
-            md = model_decrease(dt, g, s)
+            # s lies in null(A), so pg.s = g.s; g's range-space part only
+            # adds rounding, which can cancel md below zero.
+            md = model_decrease(dt, pg, s)
             rho, g_trial = trial_ratio(f, f_trial, md, g, s,
                                        lambda: problem.gradient(x_trial))
             if g_trial is not None:

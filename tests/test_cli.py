@@ -36,6 +36,17 @@ def test_solve_converged_exit_zero(tmp_path, capsys):
     assert first[6] in ("0", "1")
 
 
+@pytest.mark.parametrize("pid, n, expected", [
+    ("ex1", 120, f"{60 * 160.0 / 11.0:.8e} (closed form (separable blocks))"),
+    ("ex8", 4800, "-1.21244584e+04 (reference value at benchmark size)"),
+    ("ex8", 120, None)], ids=["ex1-120", "ex8-4800", "ex8-120"])
+def test_solve_prints_known_f_star(pid, n, expected, capsys):
+    main(["solve", "--problem", pid, "--n", str(n)])
+    known = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("known f_star")]
+    assert known == ([] if expected is None else [f"known f_star   {expected}"])
+
+
 def test_solve_history_row_per_iteration(tmp_path):
     out = tmp_path / "r.json"
     hist = tmp_path / "h.csv"

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from eqflow import (BadDimensionError, ConstraintSystem, PAPER_DIMS, PROBLEM_IDS,
-                    Problem, build, factor, gradient_check, known_optima,
-                    make_feasible, project_gradient)
+from eqflow import (BadDimensionError, ConstraintSystem, NonFiniteError,
+                    PAPER_DIMS, PROBLEM_IDS, Problem, build, factor,
+                    gradient_check, known_optima, make_feasible,
+                    project_gradient, solve)
 from eqflow.problems import _TABLE, _Spec, _evaluator
+from oracles import ex8_block_minimum
 
 FEASIBLE_STARTS = ("ex1", "ex5", "ex9", "ex10")
 INFEASIBLE_STARTS = ("ex2", "ex3", "ex4", "ex6", "ex7", "ex8")
@@ -52,13 +54,45 @@ def test_build_ex10_small():
     assert feas_inf(p, p.x0) == 0.0
 
 
-def test_ex3_block_optimum_is_stationary():
-    p = build("ex3", 3)
-    x = np.array([16.0 / 15.0, 1.0 / 3.0, -11.0 / 15.0])
-    assert p.objective(x) == pytest.approx(402.0 / 225.0, rel=1e-14)
+@pytest.mark.parametrize("pid", [pid for pid, spec in _TABLE.items()
+                                 if spec.optimum is not None])
+def test_block_optimum_is_stationary(pid):
+    # the stated minimizer of one block is feasible, stationary and has
+    # the stated value
+    block, f_block = _TABLE[pid].optimum
+    p = build(pid, len(block))
+    x = np.array(block)
+    assert p.objective(x) == pytest.approx(f_block, rel=1e-14)
+    assert p.block_values(x).sum() == pytest.approx(f_block, rel=1e-14)
     assert feas_inf(p, x) <= 1e-12
     pg = project_gradient(factor(p.cs), p.gradient(x))
     assert np.max(np.abs(pg)) <= 1e-12
+
+
+def test_table_rows_state_one_known_optimum():
+    for pid, spec in _TABLE.items():
+        assert (spec.optimum is None) != (spec.reference is None), pid
+
+
+def test_paper_dims_come_from_the_table():
+    assert PAPER_DIMS == {"ex1": 5000, "ex2": 4800, "ex3": 4800, "ex4": 5000,
+                          "ex5": 5000, "ex6": 4800, "ex7": 5000, "ex8": 4800,
+                          "ex9": 5000, "ex10": 4800}
+    for pid, n in PAPER_DIMS.items():
+        assert n == _TABLE[pid].paper_n
+        assert build(pid, n).n == n  # passes the divisibility rule
+
+
+def test_problem_takes_its_sizes_from_the_constraints():
+    assert [f.name for f in dataclasses.fields(Problem)] == [
+        "name", "objective", "gradient", "cs", "x0", "block_values"]
+    cs = ConstraintSystem(A=np.array([[1.0, 2.0, 2.0]]), b=np.array([1.0]))
+    with pytest.raises(TypeError):
+        Problem(name="demo", n=3, objective=np.sum, gradient=np.ones_like,
+                cs=cs, x0=np.zeros(3))
+    p = Problem(name="demo", objective=np.sum, gradient=np.ones_like, cs=cs,
+                x0=np.zeros(3))
+    assert p.n == 3 and dataclasses.replace(p, x0=np.ones(3)).n == 3
 
 
 def test_dimension_rules():
@@ -81,7 +115,7 @@ def test_m_relation(pid):
                 "ex4": n // 2, "ex5": n // 2, "ex6": 2 * n // 3,
                 "ex7": n // 2, "ex8": n // 3, "ex9": n // 2,
                 "ex10": n // 3}[pid]
-    assert p.m == expected == p.cs.A.shape[0]
+    assert p.cs.m == expected == p.cs.A.shape[0]
 
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
@@ -209,7 +243,7 @@ def _coupled_problem():
     def gradient(x):
         return 2.0 * x / (1.0 + x @ x) + 3.0 * x.sum() ** 2
 
-    return Problem(name="coupled", n=6, m=2, objective=objective,
+    return Problem(name="coupled", objective=objective,
                    gradient=gradient, cs=ConstraintSystem(A=A, b=np.ones(2)),
                    x0=rng.standard_normal(6))
 
@@ -251,17 +285,30 @@ def test_known_optima():
     assert f1 == pytest.approx(2500 * 160.0 / 11.0)
     _, f3 = known_optima("ex3", 4800)
     assert f3 == pytest.approx(1600 * 402.0 / 225.0)
-    assert known_optima("ex8", 4800) is None
+    assert known_optima("ex8", 4800) == (None, -12124.458370231)
+    assert known_optima("ex8", 120) is None
     assert known_optima("ex2", 120) is None
     none_pattern, f2 = known_optima("ex2", PAPER_DIMS["ex2"])
     assert none_pattern is None and f2 == pytest.approx(5.78e3)
 
 
-def test_build_attaches_known_f_star():
-    assert build("ex1", 10).known_f_star == pytest.approx(5 * 160.0 / 11.0)
-    assert build("ex8", 12).known_f_star is None
-    assert build("ex5", 5000).known_f_star == pytest.approx(432.15)
-    assert build("ex5", 120).known_f_star is None
+def test_ex8_reference_is_the_block_minimum():
+    # every one of the 1600 blocks at n = 4800 holds the global block minimum
+    _, f8 = known_optima("ex8", 4800)
+    assert f8 == pytest.approx(1600 * ex8_block_minimum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_start_is_named(bad):
+    p = build("ex1", 12)
+    x0 = p.x0.copy()
+    x0[3] = bad
+    p = dataclasses.replace(p, x0=x0)
+    message = rf"x0\[3\] = {bad} is not finite \(1 in all\)"
+    with pytest.raises(NonFiniteError, match=message):
+        solve(p)
+    with pytest.raises(NonFiniteError, match=message):
+        gradient_check(p)
 
 
 # ------------------------------------------- the derivation rule, property
@@ -278,9 +325,10 @@ def monomial_tables(draw):
         terms.append((draw(st.floats(-3.0, 3.0)), tuple(exponents)))
     shift = tuple(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
                                 min_size=w, max_size=w)))
-    spec = _Spec(w, tuple(terms), ((1.0,) * w,), (1.0,), (0.0,),
-                 shift=shift, const=draw(st.floats(-10.0, 10.0)))
+    const = draw(st.floats(-10.0, 10.0))
     n = w * draw(st.integers(1, 4))
+    spec = _Spec(w, tuple(terms), ((1.0,) * w,), (1.0,), (0.0,), n,
+                 shift=shift, const=const)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return spec, rng.uniform(-1.0, 1.0, size=(3, n))
 

@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import eqflow.solver
-from eqflow import (ConstraintSystem, SolverConfig, Status, build, factor,
-                    make_feasible, project_gradient, solve)
+from eqflow import (PAPER_DIMS, ConstraintSystem, SolverConfig, Status, build,
+                    factor, make_feasible, project_gradient, solve)
 from eqflow.problems import Problem
 from eqflow.solver import model_decrease, trial_ratio, trial_step, update_dt
 
@@ -20,7 +20,7 @@ def distance_problem(rng, n=8, m=3, center=None):
     b = rng.standard_normal(m)
     c = center if center is not None else rng.standard_normal(n)
     return Problem(
-        name="dist", n=n, m=m,
+        name="dist",
         objective=lambda x: float(np.sum((x - c) ** 2)),
         gradient=lambda x: 2.0 * (x - c),
         cs=ConstraintSystem(A=A, b=b),
@@ -226,6 +226,15 @@ def test_solve_stalled_time_step(monkeypatch):
     assert result.steps == 0
 
 
+def test_solve_tight_tolerance_keeps_model_decrease_positive():
+    # s lies in null(A), so g.s = pg.s; in floating point g.s cancels (ex9's
+    # multipliers are large) and once drove md below zero, ending the solve
+    # in numerical_error after 28 iterations
+    result = solve(build("ex9", PAPER_DIMS["ex9"]), SolverConfig(eps=1e-7))
+    assert result.status is not Status.NUMERICAL_ERROR
+    assert all(r.model_decrease > 0.0 for r in result.history)
+
+
 def test_solve_numerical_error_on_bad_objective():
     rng = np.random.default_rng(5)
     base = distance_problem(rng)
@@ -272,7 +281,7 @@ def test_solve_overflowing_trial_is_rejected_not_fatal():
             return float("inf")
         return float(np.sum((x - c) ** 2))
 
-    problem = Problem(name="guarded", n=8, m=3, objective=guarded,
+    problem = Problem(name="guarded", objective=guarded,
                       gradient=lambda x: 2.0 * (x - c), cs=cs, x0=x_start)
     result = solve(problem, SolverConfig(dt0=1e2))
     assert result.status is Status.CONVERGED
