@@ -8,14 +8,17 @@ benchmark size and the known optimum.  One
 evaluator turns an entry into the objective, its gradient and the
 per-block objective values, vectorized over the blocks; the gradient is
 derived from the terms by one rule, not written by hand, so
-``gradient_check`` tests that rule.  The check reads the per-block values
-(``Problem.block_values``): it moves one coordinate of every block at once,
-so a point costs 2·width block evaluations instead of 2n objective calls,
-and each difference carries the rounding error of one block, not of the
-whole sum.  Constraint matrices are assembled sparse (CSR), and the
-projection layer factors their blocks one component at a time.  ``ex1``
-and ``ex3`` have closed-form optima; the other problems carry reference
-objective values at their benchmark sizes.
+``gradient_check`` tests that rule.  Integer powers are formed by
+square-and-multiply rather than numpy's ``**``, whose integer exponents
+above 2 on a negative base take libm's slow ``pow``: exact for exponents
+1 and 2, a few ulps from ``pow`` above.  The check reads the per-block
+values (``Problem.block_values``): it moves one coordinate of every block
+at once, so a point costs 2·width block evaluations instead of 2n
+objective calls, and each difference carries the rounding error of one
+block, not of the whole sum.  Constraint matrices are assembled sparse
+(CSR), and the projection layer factors their blocks one component at a
+time.  ``ex1`` and ``ex3`` have closed-form optima; the other problems
+carry reference objective values at their benchmark sizes.
 """
 
 import math
@@ -105,17 +108,39 @@ def _monomial(coef, exponents):
     return (None if coef == 1 and factors else float(coef)), factors
 
 
+def _power(v, e):
+    """``v ** e`` for an integer e >= 1 by square-and-multiply.
+
+    numpy's ``**`` sends an integer exponent above 2 on a negative base down
+    libm's slow ``pow`` path. Square-and-multiply (Knuth, TAOCP vol. 2,
+    4.6.3) takes one multiply per bit of e and one more per set bit after
+    the first. For e = 1 it returns ``v`` itself and for e = 2 ``v * v``, bit
+    for bit what ``**`` gives. For e >= 3 it forms a product of e copies of
+    v, whose relative error is at most about (e - 1) * eps_mach / 2
+    (Higham, Accuracy and Stability, 3.1): a few ulps from ``pow``.
+    """
+    result = None
+    while True:
+        if e & 1:
+            result = v if result is None else result * v
+        e >>= 1
+        if not e:
+            return result
+        v = v * v
+
+
 def _sum(monomials, y):
     """Sum of the monomials over the block columns y, or None if empty.
 
-    Products run left to right, coefficient first, ``y_k`` for ``y_k ** 1``:
-    bit for bit the formula written out as one numpy expression.
+    Products run left to right, coefficient first. Each power is formed by
+    square-and-multiply (``_power``): exact as written for e <= 2, a few
+    ulps from ``pow`` for e >= 3.
     """
     total = None
     for coef, factors in monomials:
         value = coef
         for k, e in factors:
-            power = y[k] if e == 1 else y[k] ** e
+            power = _power(y[k], e)
             value = power if value is None else value * power
         total = value if total is None else total + value
     return total

@@ -10,7 +10,7 @@ iterates stay feasible to rounding.
 
 Near a minimizer the decrease ``f_old - f_new`` can drop to the rounding
 error of f.  There the ratio test measures the actual decrease by the
-trapezoidal estimate ``-(g + g_trial).s / 2`` instead (see
+trapezoidal estimate ``-(pg + P g_trial).s / 2`` instead (see
 ``trial_ratio``), so there an accepted step descends only up to rounding
 of f: its f may exceed the previous one by at most 1e3 * eps_mach * |f|.
 """
@@ -18,7 +18,7 @@ of f: its f may exceed the previous one by at most 1e3 * eps_mach * |f|.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,30 +118,33 @@ def model_decrease(dt: float, g, s) -> float:
     return -(1.0 + 0.5 * dt) / (1.0 + dt) * float(np.dot(g, s))
 
 
-def trial_ratio(f_old: float, f_new: float, md: float, g, s,
-                gradient_at_trial: Callable[[], np.ndarray]):
+def trial_ratio(f_old: float, f_new: float, md: float, pg, s,
+                gradients_at_trial: Callable[[], Tuple[np.ndarray, np.ndarray]]):
     """Actual-over-predicted decrease of a trial step, kept at f's noise floor.
 
-    Returns ``(rho, g_trial)``. A non-positive or non-finite predicted
+    Returns ``(rho, trial)``. A non-positive or non-finite predicted
     decrease ``md``, or a non-finite trial value ``f_new``, gives
     ``(-inf, None)``, which rejects the step. Otherwise rho is
-    ``(f_old - f_new) / md`` with ``g_trial`` None, unless ``|f_old - f_new|
+    ``(f_old - f_new) / md`` with ``trial`` None, unless ``|f_old - f_new|
     <= _NOISE_FLOOR * eps_mach * max(|f_old|, |f_new|)`` (``_NOISE_FLOOR`` =
     1e3): there the difference of the two values is mostly rounding and
     says nothing of the step. The actual decrease is then the trapezoidal
-    estimate ``-(g + g_trial).s / 2``, exact for quadratics, for which
-    ``gradient_at_trial()`` is called once; ``g_trial`` is returned so an
-    accepted step reuses it. A non-finite estimate rejects the step. This
-    is the switch of Hager & Zhang's approximate Wolfe conditions (SIAM J.
-    Optim. 16(1), 2005).
+    estimate ``-(pg + pg_trial).s / 2``, exact for quadratics, for which
+    ``gradients_at_trial()`` is called once and gives ``trial = (g_trial,
+    pg_trial)``, the gradient at the trial point and its projection; the
+    pair is returned so an accepted step reuses it. ``pg`` is the projected
+    gradient at the current point: s lies in null(A), so the range-space
+    parts of the gradients add nothing to the estimate but rounding. A
+    non-finite estimate rejects the step. This is the switch of Hager &
+    Zhang's approximate Wolfe conditions (SIAM J. Optim. 16(1), 2005).
     """
     if not math.isfinite(md) or md <= 0.0 or not math.isfinite(f_new):
         return -math.inf, None
     if abs(f_old - f_new) > _NOISE_FLOOR * _EPS * max(abs(f_old), abs(f_new)):
         return (f_old - f_new) / md, None
-    g_trial = np.asarray(gradient_at_trial(), dtype=float)
-    decrease = -0.5 * float(np.dot(g + g_trial, s))
-    return (decrease / md if math.isfinite(decrease) else -math.inf), g_trial
+    trial = gradients_at_trial()
+    decrease = -0.5 * float(np.dot(pg + trial[1], s))
+    return (decrease / md if math.isfinite(decrease) else -math.inf), trial
 
 
 def update_dt(dt: float, rho: float) -> float:
@@ -190,9 +193,16 @@ def solve(problem, config: Optional[SolverConfig] = None,
     b = np.asarray(problem.cs.b, dtype=float)
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
 
+    def gradients(xv):
+        """The gradient at xv and its projection, NaN where g is not finite."""
+        gv = np.asarray(problem.gradient(xv), dtype=float)
+        if not _finite(gv):
+            return gv, np.full_like(gv, np.nan)
+        return gv, project_gradient(proj, gv)
+
     x = make_feasible(proj, problem.x0)
     f = float(problem.objective(x))
-    g = np.asarray(problem.gradient(x), dtype=float)
+    g, pg = gradients(x)
     n_f, n_g = 1, 1
 
     history: List[IterationRecord] = []
@@ -212,7 +222,6 @@ def solve(problem, config: Optional[SolverConfig] = None,
     if not math.isfinite(f) or not _finite(g):
         return finish(Status.NUMERICAL_ERROR, x, f, g)
 
-    pg = project_gradient(proj, g)
     pair: Optional[CurvaturePair] = None
     dt = cfg.dt0
     k = 0
@@ -238,9 +247,9 @@ def solve(problem, config: Optional[SolverConfig] = None,
             # s lies in null(A), so pg.s = g.s; g's range-space part only
             # adds rounding, which can cancel md below zero.
             md = model_decrease(dt, pg, s)
-            rho, g_trial = trial_ratio(f, f_trial, md, g, s,
-                                       lambda: problem.gradient(x_trial))
-            if g_trial is not None:
+            rho, trial = trial_ratio(f, f_trial, md, pg, s,
+                                     lambda: gradients(x_trial))
+            if trial is not None:
                 n_g += 1
             accepted = rho > _ETA_A
 
@@ -263,12 +272,12 @@ def solve(problem, config: Optional[SolverConfig] = None,
             if accepted:
                 break
 
-        if g_trial is None:
-            g_trial = np.asarray(problem.gradient(x_trial), dtype=float)
+        if trial is None:
+            trial = gradients(x_trial)
             n_g += 1
+        g_trial, pg_trial = trial
         if not _finite(g_trial):
             return finish(Status.NUMERICAL_ERROR, x, f, g)
-        pg_trial = project_gradient(proj, g_trial)
         pair = CurvaturePair.from_step(s, pg_trial - pg)
         x, f, g, pg = x_trial, f_trial, g_trial, pg_trial
         if not float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol:

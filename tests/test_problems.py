@@ -13,7 +13,7 @@ from eqflow import (BadDimensionError, ConstraintSystem, NonFiniteError,
                     PAPER_DIMS, PROBLEM_IDS, Problem, build, factor,
                     gradient_check, known_optima, make_feasible,
                     project_gradient, solve)
-from eqflow.problems import _TABLE, _Spec, _evaluator
+from eqflow.problems import _EVALUATORS, _TABLE, _Spec, _evaluator, _power
 from oracles import ex8_block_minimum
 
 FEASIBLE_STARTS = ("ex1", "ex5", "ex9", "ex10")
@@ -309,6 +309,60 @@ def test_non_finite_start_is_named(bad):
         solve(p)
     with pytest.raises(NonFiniteError, match=message):
         gradient_check(p)
+
+
+# ----------------------------------------------------- the power rule
+
+_POWER_BASES = np.concatenate([
+    [-1.26, -1.0, -1e-3, -0.0, 0.0, 1e-3, 1.0, 2.0, 0.5 + 2.0**-40],
+    [-1e30, -3.7e20, 1e-30, 2.9e25, 1e30],  # large and small magnitudes
+    np.random.default_rng(8).uniform(-4.0, 4.0, 200)])
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_power_low_exponents_match_numpy_bit_for_bit(e):
+    assert _power(_POWER_BASES, e).tobytes() == (_POWER_BASES ** e).tobytes()
+
+
+@pytest.mark.parametrize("e", range(3, 9))
+def test_power_is_within_e_ulps_of_pow(e):
+    # any product of e copies of v carries at most e - 1 roundings
+    # (Higham, Accuracy and Stability, section 3.1); pow adds one more
+    got = _power(_POWER_BASES, e)
+    want = np.array([math.pow(v, e) for v in _POWER_BASES])
+    assert np.all(np.abs(got - want) <= e * np.finfo(float).eps * np.abs(want))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("e", [3, 4, 7])
+def test_power_overflow_is_inf_as_with_numpy(e):
+    v = np.array([1e200, -1e200, 2.0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        got = _power(v, e)
+    with np.errstate(over="ignore"):
+        want = v ** e
+    assert got.tobytes() == want.tobytes()
+    assert np.isinf(got[:2]).all()
+
+
+class NoPow(np.ndarray):
+    """An array whose ``**`` refuses exponents above 2: those send a negative
+    base down libm's slow pow path."""
+
+    def __pow__(self, e):
+        if np.any(np.asarray(e) > 2):
+            raise AssertionError(f"array ** {e}")
+        return super().__pow__(e)
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_evaluator_takes_no_power_above_two(pid):
+    # every objective, gradient and block value forms its powers by
+    # multiplication; the NoPow view must give the plain array's numbers
+    x = np.linspace(-1.7, 1.3, 24)
+    for call in _EVALUATORS[pid]:
+        got, want = call(x.view(NoPow)), call(x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ------------------------------------------- the derivation rule, property

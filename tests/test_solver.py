@@ -58,12 +58,12 @@ def _no_gradient():
 
 def test_ratio_values():
     # every case is away from the noise floor or unusable: no gradient call
-    g, s = np.array([1.0]), np.array([-1.0])
+    pg, s = np.array([1.0]), np.array([-1.0])
     for f_new, md, rho in ((8.0, 2.0, 1.0), (9.0, 2.0, 0.5), (11.0, 2.0, -0.5),
                            (9.0, 0.0, -math.inf), (9.0, -1.0, -math.inf),
                            (9.0, math.nan, -math.inf), (math.nan, 2.0, -math.inf),
                            (math.inf, 2.0, -math.inf)):
-        assert trial_ratio(10.0, f_new, md, g, s, _no_gradient) == (rho, None)
+        assert trial_ratio(10.0, f_new, md, pg, s, _no_gradient) == (rho, None)
 
 
 def test_trial_ratio_noise_floor_switch():
@@ -76,17 +76,18 @@ def test_trial_ratio_noise_floor_switch():
         return offset + 0.5 * float(x @ x)
 
     x = np.array([1e-5, -2e-5, 3e-5])
-    g = x.copy()
+    g = x.copy()  # unconstrained: pg = g
     s = trial_step(1.0, -g)
     md = model_decrease(1.0, g, s)
     f_old, f_new = f(x), f(x + s)
     assert (f_old - f_new) / md <= 0.0
     calls = []
-    rho, g_trial = trial_ratio(f_old, f_new, md, g, s,
-                               lambda: calls.append(1) or x + s)
+    rho, trial = trial_ratio(f_old, f_new, md, g, s,
+                             lambda: calls.append(1) or (x + s, x + s))
     assert rho == pytest.approx(1.0, rel=1e-9)
     assert calls == [1]
-    assert_allclose(g_trial, x + s)
+    assert_allclose(trial[0], x + s)
+    assert_allclose(trial[1], x + s)
 
     # a decrease well above the threshold keeps the plain ratio, bit for bit,
     # and evaluates no gradient
@@ -99,6 +100,33 @@ def test_trial_ratio_noise_floor_switch():
         (f_old - f_new) / md, None)
     # an unusable predicted decrease rejects without a gradient call
     assert trial_ratio(f_old, f_old, 0.0, g, s, _no_gradient) == (-math.inf, None)
+
+
+def test_trial_ratio_noise_floor_uses_projected_gradients():
+    # f = C + 1e12 * sum(x) + |x|^2/2 on sum(x) = 0: the gradient 1e12 + x is
+    # almost all range space, and the projected gradient is x - mean(x). At
+    # the noise floor the trapezoid with raw gradients sums 2e12 * s, whose
+    # rounding swamps the true decrease; the projected one is exact.
+    offset, slope = 1e8, 1e12
+
+    def f(x):
+        return offset + slope * float(np.sum(x)) + 0.5 * float(x @ x)
+
+    def gradients(x):
+        return slope + x, x - np.mean(x)
+
+    x = np.array([1e-5, -2e-5, 3e-5, -2e-5])
+    g, pg = gradients(x)
+    s = trial_step(1.0, -pg)
+    md = model_decrease(1.0, pg, s)
+    f_old, f_new = f(x), f(x + s)
+    assert abs(f_old - f_new) <= 1e3 * np.finfo(float).eps * abs(f_old)
+    g_trial, pg_trial = gradients(x + s)
+    unprojected = -0.5 * float(np.dot(g + g_trial, s)) / md
+    assert abs(unprojected - 1.0) > 1.0
+    rho, trial = trial_ratio(f_old, f_new, md, pg, s, lambda: gradients(x + s))
+    assert rho == pytest.approx(1.0, rel=1e-9)
+    assert_allclose(trial[1], pg_trial)
 
 
 def test_update_dt_bands():
@@ -321,3 +349,26 @@ def test_solve_direction_once_per_accepted_point(monkeypatch):
     assert result.status is Status.CONVERGED
     assert result.steps < result.total_iters
     assert len(calls) == result.steps
+
+
+def test_solve_projects_each_gradient_once(monkeypatch):
+    # a gradient taken for the trapezoid is projected there, and an accepted
+    # step reuses that projection instead of projecting g_trial again
+    base = distance_problem(np.random.default_rng(3))
+    problem = dataclasses.replace(base, objective=lambda x: 1e8 + base.objective(x))
+    projections, trapezoids = [], []
+    real_project, real_ratio = eqflow.solver.project_gradient, eqflow.solver.trial_ratio
+
+    def ratio(*args):
+        rho, trial = real_ratio(*args)
+        if trial is not None and rho > eqflow.solver._ETA_A:
+            trapezoids.append(1)
+        return rho, trial
+
+    monkeypatch.setattr("eqflow.solver.project_gradient",
+                        lambda *args: projections.append(1) or real_project(*args))
+    monkeypatch.setattr("eqflow.solver.trial_ratio", ratio)
+    result = solve(problem)
+    assert result.status is Status.CONVERGED
+    assert trapezoids  # an accepted step came through the noise floor
+    assert len(projections) == result.n_g
