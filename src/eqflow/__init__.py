@@ -4,7 +4,7 @@ from .direction import CurvaturePair, direction
 from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
                        GradientCheckReport, Problem, build, gradient_check,
                        known_optima)
-from .projection import (ConstraintSystem, DimensionMismatchError,
+from .projection import (ConstraintSystem, CSRMatrix, DimensionMismatchError,
                          NonFiniteError, Projector, RankDeficientError, factor,
                          make_feasible, multipliers, project_gradient,
                          residuals)
@@ -13,7 +13,7 @@ from .solver import IterationRecord, SolveResult, SolverConfig, Status, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstraintSystem", "Projector", "factor", "project_gradient",
+    "ConstraintSystem", "CSRMatrix", "Projector", "factor", "project_gradient",
     "make_feasible", "multipliers", "residuals",
     "DimensionMismatchError", "NonFiniteError", "RankDeficientError",
     "CurvaturePair", "direction",

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .projection import ConstraintSystem, factor, make_feasible, project_gradient
+from .projection import (ConstraintSystem, CSRMatrix, factor, make_feasible,
+                         project_gradient)
 
 
 class BadDimensionError(ValueError):
@@ -67,11 +67,11 @@ def _block_constraints(n, rows, rhs):
     rows = np.asarray(rows, dtype=float)
     r, w = rows.shape
     j, t = np.nonzero(rows)
-    blocks = np.arange(n // w)[:, None]
-    A = sp.csr_matrix((np.tile(rows[j, t], n // w),
-                       ((blocks * r + j).ravel(), (blocks * w + t).ravel())),
-                      shape=(n // w * r, n))
-    return A, np.tile(np.asarray(rhs, dtype=float), n // w)
+    k = n // w
+    indptr = np.concatenate(([0], np.cumsum(np.tile(np.bincount(j, minlength=r), k))))
+    A = CSRMatrix(indptr, (np.arange(k)[:, None] * w + t).ravel(),
+                  np.tile(rows[j, t], k), (k * r, n))
+    return A, np.tile(np.asarray(rhs, dtype=float), k)
 
 
 class _Spec(NamedTuple):
@@ -173,6 +173,12 @@ def _evaluator(spec):
 
     def gradient(x):
         y = columns(x)
+        if w == 1:
+            # One column: a fresh array is the gradient as it is. A view of
+            # x, a constant or no terms at all go through the copy below.
+            g = _sum(derived[0], y)
+            if isinstance(g, np.ndarray) and g.base is None:
+                return g
         out = np.empty_like(x)
         for k, monomials in enumerate(derived):
             g = _sum(monomials, y)

@@ -11,13 +11,15 @@ bipartite row/column graph, and A^T is block diagonal over these
 components up to a permutation. Each block is factored on its own, so
 the benchmark problems (thousands of 1x2, 1x3 or 2x3 blocks) cost O(n)
 time and memory; a general dense A is the one-component case.
+
+A is held in this module's own compressed-row form, :class:`CSRMatrix`,
+so the package imports no scipy.
 """
 
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 
 # A component is rank deficient when some |r_ii| <= _RANK_GATE * n * max |r_jj|
@@ -37,22 +39,108 @@ class NonFiniteError(ValueError):
     """A constraint or start-point entry is NaN or infinite."""
 
 
-def _first_non_finite(A):
-    """(row, column, value) of a non-finite entry of A in the first row that
-    has one, and how many there are; None if every entry is finite."""
-    if sp.issparse(A):
-        A = A.tocsr()
-        bad = np.flatnonzero(~np.isfinite(A.data))
-        if not bad.size:
-            return None
-        k = bad[0]
-        row = np.searchsorted(A.indptr, k, side="right") - 1
-        return int(row), int(A.indices[k]), A.data[k], bad.size
-    bad = np.argwhere(~np.isfinite(A))
+def _starts(keys, size):
+    """Where each key 0..size-1 starts in keys sorted, and the length."""
+    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=size))))
+
+
+def _vector(v, length) -> np.ndarray:
+    v = np.asarray(v)
+    if v.shape != (length,):
+        raise DimensionMismatchError(
+            f"vector has shape {v.shape}, expected ({length},)")
+    return v
+
+
+class CSRMatrix:
+    """An (m, n) matrix in compressed sparse row form.
+
+    Row i holds the entries ``data[indptr[i]:indptr[i + 1]]`` in columns
+    ``indices[indptr[i]:indptr[i + 1]]``. The form is canonical: within a
+    row the columns increase strictly, so duplicate entries given to the
+    constructor are summed, in the order given. Explicitly stored zeros
+    are kept. The constructor copies its arrays, so later changes to them
+    do not reach the matrix. ``A @ x`` and ``A.T @ y`` take 1-D vectors.
+    """
+
+    def __init__(self, indptr, indices, data, shape):
+        m, n = (int(d) for d in shape)
+        indptr = np.array(indptr, dtype=np.intp)
+        indices = np.array(indices, dtype=np.intp)
+        data = np.array(data, dtype=float)
+        if (indptr.shape != (m + 1,) or indptr[0] != 0
+                or np.any(np.diff(indptr) < 0)
+                or not indptr[-1] == indices.size == data.size
+                or np.any((indices < 0) | (indices >= n))):
+            raise DimensionMismatchError(
+                f"CSR arrays do not describe an ({m}, {n}) matrix")
+        rows = np.repeat(np.arange(m), np.diff(indptr))
+        key = rows * n + indices
+        if np.any(key[1:] <= key[:-1]):
+            key, slot = np.unique(key, return_inverse=True)
+            data = np.bincount(slot, weights=data, minlength=key.size)
+            rows, indices = np.divmod(key, n)
+            indptr = _starts(rows, m)
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.rows = rows    # the row of each stored entry
+        self.shape = (m, n)
+
+    @classmethod
+    def from_matrix(cls, A) -> "CSRMatrix":
+        """A CSRMatrix of A: itself, a dense array (its nonzeros are stored)
+        or anything with ``tocsr()``, such as every scipy.sparse format."""
+        if isinstance(A, cls):
+            return A
+        if hasattr(A, "tocsr"):
+            c = A.tocsr()
+            return cls(c.indptr, c.indices, c.data, c.shape)
+        a = np.asarray(A, dtype=float)
+        if a.ndim != 2:
+            raise DimensionMismatchError(
+                f"constraint matrix must be 2-D, got shape {a.shape}")
+        rows, cols = np.nonzero(a)
+        return cls(_starts(rows, a.shape[0]), cols, a[rows, cols], a.shape)
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = _vector(x, self.shape[1])
+        return np.bincount(self.rows, weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+    @property
+    def T(self) -> "_Transposed":
+        return _Transposed(self)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.indices] = self.data
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.toarray() if dtype is None else self.toarray().astype(dtype)
+
+
+class _Transposed:
+    """The transpose of a CSRMatrix, for ``A.T @ y``."""
+
+    def __init__(self, a: CSRMatrix):
+        self._a = a
+        self.shape = a.shape[::-1]
+
+    def __matmul__(self, y) -> np.ndarray:
+        a = self._a
+        y = _vector(y, a.shape[0])
+        return np.bincount(a.indices, weights=a.data * y[a.rows],
+                           minlength=a.shape[1])
+
+
+def _first_non_finite(A: CSRMatrix):
+    """(row, column, value) of a non-finite stored entry of A in the first row
+    that has one, and how many there are; None if every entry is finite."""
+    bad = np.flatnonzero(~np.isfinite(A.data))
     if not bad.size:
         return None
-    i, j = bad[0]
-    return int(i), int(j), A[i, j], len(bad)
+    k = bad[0]
+    return int(A.rows[k]), int(A.indices[k]), A.data[k], bad.size
 
 
 def _require_finite(v, what):
@@ -67,16 +155,21 @@ def _require_finite(v, what):
 class ConstraintSystem:
     """Linear equality constraints Ax = b with A of shape (m, n), m < n.
 
-    ``A`` may be dense or scipy.sparse. A NaN or infinite entry of ``A``
-    (a stored one, if sparse) or of ``b`` raises :class:`NonFiniteError`
-    naming it. Full row rank is checked by :func:`factor`, not here.
+    ``A`` may be given as a dense array, as anything with ``tocsr()`` (every
+    scipy.sparse format) or as a :class:`CSRMatrix`; it is converted once,
+    and ``cs.A`` is then that :class:`CSRMatrix`, with duplicate entries
+    summed and explicitly stored zeros kept. The caller's matrix is never
+    changed. A NaN or infinite entry of ``A`` (a stored one, if sparse) or
+    of ``b`` raises :class:`NonFiniteError` naming it. Full row rank is
+    checked by :func:`factor`, not here.
     """
 
-    A: object
+    A: CSRMatrix
     b: np.ndarray
 
     def __post_init__(self):
-        m, n = self.A.shape
+        A = CSRMatrix.from_matrix(self.A)
+        m, n = A.shape
         b = np.asarray(self.b, dtype=float).ravel()
         if m < 1 or n < 2 or m >= n:
             raise DimensionMismatchError(
@@ -86,7 +179,7 @@ class ConstraintSystem:
             raise DimensionMismatchError(
                 f"right-hand side has length {b.shape[0]}, expected {m}"
             )
-        bad = _first_non_finite(self.A)
+        bad = _first_non_finite(A)
         if bad is not None:
             i, j, value, count = bad
             raise NonFiniteError(
@@ -94,6 +187,7 @@ class ConstraintSystem:
                 f"({count} in all)"
             )
         _require_finite(b, "right-hand side entry b")
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
     @property
@@ -122,7 +216,15 @@ class BlockGroup:
     b_r: np.ndarray
 
     def coefficients(self, v) -> np.ndarray:
-        """Row-space coordinates q^T v of each block, shape (k, r)."""
+        """Row-space coordinates q^T v of each block, shape (k, r).
+
+        Keep this contraction as it is. ex8's paper-scale solve lands in its
+        global basin only with einsum's summation order here: summed as
+        ``matmul`` or ``.sum(axis=1)`` (or sequentially, or reversed) the
+        coordinates differ in the last bits, and block 0 at n = 4800 ends
+        in the local basin (f* = -12116.39 after 200-odd iterations), which
+        fails the acceptance gate.
+        """
         return np.einsum("kcr,kc->kr", self.q, v[self.cols])
 
     def expand(self, t) -> np.ndarray:
@@ -182,9 +284,7 @@ def _column_components(n, starts, cols, rows) -> np.ndarray:
 
 def _grouped(keys, size):
     """Stable order of 0..len(keys)-1 by key, and each key's start in it."""
-    order = np.argsort(keys, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=size))))
-    return order, starts
+    return np.argsort(keys, kind="stable"), _starts(keys, size)
 
 
 def factor(cs: ConstraintSystem) -> Projector:
@@ -197,7 +297,7 @@ def factor(cs: ConstraintSystem) -> Projector:
     Parameters
     ----------
     cs : ConstraintSystem
-        Constraints to factor; ``cs.A`` is read as CSR.
+        Constraints to factor.
 
     Raises
     ------
@@ -208,7 +308,7 @@ def factor(cs: ConstraintSystem) -> Projector:
         maximum taken over that component's R.
         The message names the rows of the offending component.
     """
-    a = sp.csr_array(cs.A)
+    a = cs.A
     m, n = a.shape
     counts = np.diff(a.indptr)
     empty = np.flatnonzero(counts == 0)
@@ -217,8 +317,7 @@ def factor(cs: ConstraintSystem) -> Projector:
             f"constraint matrix is rank deficient: row(s) {empty[:10].tolist()} "
             "have no nonzero entry"
         )
-    nz_cols = a.indices.astype(np.intp)
-    nz_rows = np.repeat(np.arange(m), counts)
+    nz_cols, nz_rows = a.indices, a.rows
     label = _column_components(n, a.indptr[:-1], nz_cols, nz_rows)
 
     comp_ids, row_comp = np.unique(label[nz_cols[a.indptr[:-1]]],
@@ -244,14 +343,27 @@ def factor(cs: ConstraintSystem) -> Projector:
     shapes, comp_group = np.unique(r_count * (n + 1) + c_count,
                                    return_inverse=True)
     comp_order, group_start = _grouped(comp_group, shapes.size)
+    # Each nonzero's place in its group's (k, c, r) stack of A^T blocks: the
+    # slot of its component in the group, and the rank of its column and of
+    # its row in the component.
+    slot = np.empty(num, dtype=np.intp)
+    slot[comp_order] = np.arange(num) - group_start[comp_group[comp_order]]
+    row_rank = np.empty(m, dtype=np.intp)
+    row_rank[row_order] = np.arange(m) - row_start[row_comp[row_order]]
+    col_rank = np.empty(n, dtype=np.intp)
+    col_rank[col_idx[col_order]] = (np.arange(col_idx.size)
+                                    - col_start[col_comp[col_order]])
+    nz_comp = row_comp[nz_rows]
+    nz_order, nz_start = _grouped(comp_group[nz_comp], shapes.size)
     blocks = []
     for g in range(shapes.size):
         comps = comp_order[group_start[g]:group_start[g + 1]]
         r, c = int(r_count[comps[0]]), int(c_count[comps[0]])
         rows = row_order[row_start[comps][:, None] + np.arange(r)]
         cols = col_idx[col_order[col_start[comps][:, None] + np.arange(c)]]
-        ri, ci = np.broadcast_arrays(rows[:, None, :], cols[:, :, None])
-        at = np.asarray(a[ri.ravel(), ci.ravel()], dtype=float).reshape(ri.shape)
+        nz = nz_order[nz_start[g]:nz_start[g + 1]]
+        at = np.zeros((comps.size, c, r))
+        at[slot[nz_comp[nz]], col_rank[nz_cols[nz]], row_rank[nz_rows[nz]]] = a.data[nz]
         q, rr = np.linalg.qr(at)
         blocks.append((rows, cols, q, rr))
 

@@ -135,7 +135,8 @@ def trial_ratio(f_old: float, f_new: float, md: float, pg, s,
     pair is returned so an accepted step reuses it. ``pg`` is the projected
     gradient at the current point: s lies in null(A), so the range-space
     parts of the gradients add nothing to the estimate but rounding. A
-    non-finite estimate rejects the step. This is the switch of Hager &
+    ``pg_trial`` of None (g_trial is not finite) or a non-finite estimate
+    rejects the step. This is the switch of Hager &
     Zhang's approximate Wolfe conditions (SIAM J. Optim. 16(1), 2005).
     """
     if not math.isfinite(md) or md <= 0.0 or not math.isfinite(f_new):
@@ -143,6 +144,8 @@ def trial_ratio(f_old: float, f_new: float, md: float, pg, s,
     if abs(f_old - f_new) > _NOISE_FLOOR * _EPS * max(abs(f_old), abs(f_new)):
         return (f_old - f_new) / md, None
     trial = gradients_at_trial()
+    if trial[1] is None:
+        return -math.inf, trial
     decrease = -0.5 * float(np.dot(pg + trial[1], s))
     return (decrease / md if math.isfinite(decrease) else -math.inf), trial
 
@@ -194,11 +197,10 @@ def solve(problem, config: Optional[SolverConfig] = None,
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
 
     def gradients(xv):
-        """The gradient at xv and its projection, NaN where g is not finite."""
+        """The gradient at xv and its projection; None for the projection
+        when g is not finite. The one finiteness test of each gradient."""
         gv = np.asarray(problem.gradient(xv), dtype=float)
-        if not _finite(gv):
-            return gv, np.full_like(gv, np.nan)
-        return gv, project_gradient(proj, gv)
+        return gv, (project_gradient(proj, gv) if _finite(gv) else None)
 
     x = make_feasible(proj, problem.x0)
     f = float(problem.objective(x))
@@ -208,8 +210,9 @@ def solve(problem, config: Optional[SolverConfig] = None,
     history: List[IterationRecord] = []
 
     def finish(status, xv, fv, gv):
-        lam = multipliers(proj, gv) if _finite(gv) else np.full(proj.m, np.nan)
-        if _finite(gv) and _finite(xv):
+        finite_g = _finite(gv)
+        lam = multipliers(proj, gv) if finite_g else np.full(proj.m, np.nan)
+        if finite_g and _finite(xv):
             kkt, feas = residuals(proj, problem.cs, xv, gv, lam)
         else:
             kkt, feas = math.inf, math.inf
@@ -219,7 +222,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
                            total_iters=len(history), n_f=n_f, n_g=n_g,
                            history=history)
 
-    if not math.isfinite(f) or not _finite(g):
+    if not math.isfinite(f) or pg is None:
         return finish(Status.NUMERICAL_ERROR, x, f, g)
 
     pair: Optional[CurvaturePair] = None
@@ -276,7 +279,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
             trial = gradients(x_trial)
             n_g += 1
         g_trial, pg_trial = trial
-        if not _finite(g_trial):
+        if pg_trial is None:
             return finish(Status.NUMERICAL_ERROR, x, f, g)
         pair = CurvaturePair.from_step(s, pg_trial - pg)
         x, f, g, pg = x_trial, f_trial, g_trial, pg_trial

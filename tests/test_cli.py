@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, file formats, reproducibility."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eqflow
 from eqflow.cli import HISTORY_COLUMNS, SUITE_COLUMNS, main
 
 SCI9 = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
@@ -145,3 +150,17 @@ def test_check_grad_ex8_seeded(capsys):
 
 def test_check_grad_unknown_problem(capsys):
     assert main(["check-grad", "--problem", "exZ", "--n", "12"]) == 1
+
+
+def test_import_and_runs_load_no_scipy():
+    # scipy.sparse alone costs about 0.2 s and 20 MB on every start-up
+    code = ("import sys, eqflow, eqflow.cli\n"
+            "eqflow.cli.main(['suite', '--scale', 'desk'])\n"
+            "eqflow.gradient_check(eqflow.build('ex8', 120))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(eqflow.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -365,6 +365,19 @@ def test_evaluator_takes_no_power_above_two(pid):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@pytest.mark.parametrize("terms, want", [
+    (((1, (2,)),), lambda x: 2.0 * x),                # ex3: a fresh product
+    (((0.5, (2,)),), lambda x: x.copy()),             # the derived column is x
+    (((3.0, (1,)),), lambda x: np.full_like(x, 3.0)),  # a constant
+])
+def test_width_one_gradient_owns_its_array(terms, want):
+    _, gradient, _ = _evaluator(_Spec(1, terms, ((1.0,),), (1.0,), (0.0,), 4))
+    x = np.linspace(-1.0, 2.0, 4)
+    g = gradient(x)
+    assert g.tobytes() == want(x).tobytes()
+    assert not np.shares_memory(g, x)
+
+
 # ------------------------------------------- the derivation rule, property
 
 @st.composite

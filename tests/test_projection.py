@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse.csgraph import connected_components
 
-from eqflow import (ConstraintSystem, DimensionMismatchError, NonFiniteError,
-                    RankDeficientError, build, factor, make_feasible,
-                    multipliers, project_gradient, residuals)
+from eqflow import (ConstraintSystem, CSRMatrix, DimensionMismatchError,
+                    NonFiniteError, RankDeficientError, build, factor,
+                    make_feasible, multipliers, project_gradient, residuals)
 from eqflow.projection import _RANK_GATE, _column_components
 
 
@@ -267,6 +267,82 @@ def test_constraint_system_non_finite_entries():
     with pytest.raises(NonFiniteError, match=r"b\[1\] = nan"):
         ConstraintSystem(A=A, b=np.array([1.0, np.nan]))
     assert issubclass(NonFiniteError, ValueError)
+
+
+# -------------------------------------------------------------- CSRMatrix
+
+def _messy_inputs(rng):
+    """A 6x9 matrix with an empty row (1), a stored zero at (3, 3) and the
+    entries (0, 1) and (4, 2) stored twice, in every accepted input form,
+    each with scipy's canonical CSR of it (stored zeros kept)."""
+    rows = np.array([4, 0, 0, 2, 2, 2, 3, 4, 5, 0, 4])
+    cols = np.array([2, 7, 1, 8, 0, 3, 3, 5, 6, 1, 2])
+    data = rng.standard_normal(rows.size)
+    data[6] = 0.0
+    coo = sp.coo_matrix((data, (rows, cols)), shape=(6, 9))
+    order = np.argsort(rows, kind="stable")  # rows grouped, columns unsorted
+    raw_csr = sp.csr_matrix((data[order], cols[order],
+                             np.searchsorted(rows[order], np.arange(7))),
+                            shape=(6, 9))
+    raw_csc = sp.csc_matrix((data, (rows, cols)), shape=(6, 9))
+    canonical = sp.csr_matrix(coo)
+    canonical.sum_duplicates()
+    dense = canonical.toarray()
+    return [(raw_csr, canonical), (raw_csc, canonical),
+            (sp.coo_array(coo), canonical), (coo, canonical),
+            (dense, sp.csr_matrix(dense))]
+
+
+def _snapshot(A):
+    if isinstance(A, np.ndarray):
+        return [A.copy()]
+    parts = ("data", "indices", "indptr") if hasattr(A, "indptr") else ("data", "row", "col")
+    return [getattr(A, k).copy() for k in parts]
+
+
+def test_csr_form_matches_scipy():
+    rng = np.random.default_rng(41)
+    x, y = rng.standard_normal(9), rng.standard_normal(6)
+    for A, ref in _messy_inputs(rng):
+        before = _snapshot(A)
+        a = ConstraintSystem(A=A, b=np.zeros(6)).A
+        assert isinstance(a, CSRMatrix) and a.shape == (6, 9)
+        for got, want in zip(_snapshot(A), before):  # the caller's matrix
+            assert got.tobytes() == want.tobytes()
+        assert_array_equal(a.indptr, ref.indptr)
+        assert_array_equal(a.indices, ref.indices)
+        assert a.data.tobytes() == ref.data.tobytes()
+        assert (a @ x).tobytes() == (ref @ x).tobytes()
+        assert (a.T @ y).tobytes() == (ref.T @ y).tobytes()
+        assert a.toarray().tobytes() == ref.toarray().tobytes()
+        assert np.asarray(a).tobytes() == ref.toarray().tobytes()
+        assert CSRMatrix.from_matrix(a) is a
+        with pytest.raises(DimensionMismatchError):
+            a @ y
+        with pytest.raises(DimensionMismatchError):
+            a.T @ x
+    with pytest.raises(DimensionMismatchError):
+        CSRMatrix([0, 1, 2], [0, 3], [1.0, 1.0], (2, 3))  # column 3 of 3
+    with pytest.raises(DimensionMismatchError):
+        CSRMatrix([0, 2, 1], [0, 1], [1.0, 1.0], (2, 3))  # falling indptr
+    with pytest.raises(DimensionMismatchError):
+        ConstraintSystem(A=np.ones(3), b=np.zeros(1))  # not 2-D
+
+
+def test_factor_same_blocks_from_every_input_form():
+    rng = np.random.default_rng(43)
+    cs, A = block_system(rng, [(1, 2), (2, 3), (1, 3), (2, 3)], free=2)
+    rows, cols = np.nonzero(A)
+    halves = sp.coo_array((np.tile(A[rows, cols] / 2, 2),
+                           (np.tile(rows, 2), np.tile(cols, 2))), shape=A.shape)
+    ref = factor(ConstraintSystem(A=A, b=cs.b))
+    for form in (sp.csr_matrix(A), sp.csc_array(A), halves, CSRMatrix.from_matrix(A)):
+        p = factor(ConstraintSystem(A=form, b=cs.b))
+        assert len(p.groups) == len(ref.groups) == 3
+        for grp, want in zip(p.groups, ref.groups):
+            for f in dataclasses.fields(grp):
+                got, exp = getattr(grp, f.name), getattr(want, f.name)
+                assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
 
 
 # ------------------------------------------------------- project_gradient

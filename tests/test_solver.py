@@ -100,6 +100,14 @@ def test_trial_ratio_noise_floor_switch():
         (f_old - f_new) / md, None)
     # an unusable predicted decrease rejects without a gradient call
     assert trial_ratio(f_old, f_old, 0.0, g, s, _no_gradient) == (-math.inf, None)
+    # at the noise floor, a trial gradient that is not finite (no projection)
+    # rejects the step
+    x = np.array([1e-5, -2e-5, 3e-5])
+    s = trial_step(1.0, -x)
+    md = model_decrease(1.0, x, s)
+    nan = np.full(3, np.nan)
+    rho, trial = trial_ratio(f(x), f(x + s), md, x, s, lambda: (nan, None))
+    assert rho == -math.inf and trial[1] is None
 
 
 def test_trial_ratio_noise_floor_uses_projected_gradients():
@@ -269,6 +277,27 @@ def test_solve_numerical_error_on_bad_objective():
     broken = dataclasses.replace(base, objective=lambda x: float("nan"))
     result = solve(broken)
     assert result.status is Status.NUMERICAL_ERROR
+
+
+def test_solve_gradient_turning_nan_ends_at_last_finite_point():
+    # the gradient after the first accepted step is NaN: the solve ends with
+    # numerical_error at the start point, whose gradient was finite
+    base = build("ex1", 12)
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        g = base.gradient(x)
+        return g if len(calls) < 2 else np.full_like(g, np.nan)
+
+    result = solve(dataclasses.replace(base, gradient=gradient))
+    x0 = make_feasible(factor(base.cs), base.x0)
+    assert result.status is Status.NUMERICAL_ERROR
+    assert result.steps == result.total_iters == 1 and result.n_g == 2
+    assert result.x_star.tobytes() == x0.tobytes()
+    assert result.f_star == base.objective(x0)
+    assert np.isfinite(result.lambda_star).all()
+    assert math.isfinite(result.kkt_inf) and result.feas_inf <= 1e-12
 
 
 def test_solve_failed_invariants_end_with_numerical_error(monkeypatch):
