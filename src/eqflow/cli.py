@@ -17,7 +17,6 @@ import numpy as np
 
 from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
                        build, gradient_check, known_optima)
-from .projection import DimensionMismatchError, RankDeficientError
 from .solver import SolverConfig, Status, solve
 
 SUITE_COLUMNS = ("problem", "n", "m", "accepted_steps", "total_iters", "n_f",
@@ -197,8 +196,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (BadDimensionError, DimensionMismatchError, RankDeficientError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,9 @@ import numpy as np
 
 from .projection import DimensionMismatchError
 
+# The quasi-Newton pair is used only when |s.y| > _THETA * ||s||^2.
+_THETA = 1e-6
+
 
 @dataclass(frozen=True)
 class CurvaturePair:
@@ -42,17 +45,17 @@ class CurvaturePair:
                    y_sq=float(y @ y))
 
 
-def curvature_gate(pair: Optional[CurvaturePair], theta: float) -> bool:
-    """True iff |s.y| > theta * ||s||^2; an absent or zero pair fails."""
+def curvature_gate(pair: Optional[CurvaturePair]) -> bool:
+    """True iff |s.y| > _THETA * ||s||^2; an absent or zero pair fails."""
     if pair is None or pair.s_sq == 0.0:
         return False
-    return abs(pair.s_dot_y) > theta * pair.s_sq
+    return abs(pair.s_dot_y) > _THETA * pair.s_sq
 
 
-def direction(pg, pair: Optional[CurvaturePair], theta: float) -> np.ndarray:
+def direction(pg, pair: Optional[CurvaturePair]) -> np.ndarray:
     """Return d = -H @ pg for the gated rank-two H (identity if gate fails)."""
     pg = np.asarray(pg, dtype=float)
-    if not curvature_gate(pair, theta):
+    if not curvature_gate(pair):
         return -pg
     if pair.s.shape != pg.shape:
         raise DimensionMismatchError(

@@ -152,8 +152,8 @@ def _evaluator(spec):
 
     The gradient is derived by one rule: d/dx_k of ``c * x_k ** e * r`` is
     ``(c * e) * x_k ** (e - 1) * r``. ``block_values`` returns the objective
-    term of every block, without ``const``; the objective sums the same
-    array.
+    term of every block, without ``const``; the objective is ``const`` plus
+    its sum.
     """
     w, const = spec.width, spec.const
     shifted = [(k, s) for k, s in enumerate(spec.shift) if s]
@@ -167,26 +167,20 @@ def _evaluator(spec):
             y[k] = y[k] - s
         return y
 
+    def block_values(x):
+        return _sum(terms, columns(x))
+
     def objective(x):
-        f = float(_sum(terms, columns(x)).sum())
+        f = float(block_values(x).sum())
         return f + const if const else f
 
     def gradient(x):
         y = columns(x)
-        if w == 1:
-            # One column: a fresh array is the gradient as it is. A view of
-            # x, a constant or no terms at all go through the copy below.
-            g = _sum(derived[0], y)
-            if isinstance(g, np.ndarray) and g.base is None:
-                return g
         out = np.empty_like(x)
         for k, monomials in enumerate(derived):
             g = _sum(monomials, y)
             out[k::w] = 0.0 if g is None else g
         return out
-
-    def block_values(x):
-        return _sum(terms, columns(x))
 
     return objective, gradient, block_values
 

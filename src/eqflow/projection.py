@@ -44,12 +44,24 @@ def _starts(keys, size):
     return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=size))))
 
 
-def _vector(v, length) -> np.ndarray:
-    v = np.asarray(v)
+def _vector(v, length, name="vector") -> np.ndarray:
+    """v as a float array of shape (length,); callers that accept any shape
+    with length entries pass ``np.ravel(v)``."""
+    v = np.asarray(v, dtype=float)
     if v.shape != (length,):
         raise DimensionMismatchError(
-            f"vector has shape {v.shape}, expected ({length},)")
+            f"{name} has shape {v.shape}, expected ({length},)")
     return v
+
+
+def _require_finite(values, name_of_entry):
+    """Raise NonFiniteError naming the first non-finite entry of values, k,
+    as ``name_of_entry(k)``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = bad[0]
+        raise NonFiniteError(f"{name_of_entry(k)} = {values[k]} is not finite "
+                             f"({bad.size} in all)")
 
 
 class CSRMatrix:
@@ -133,24 +145,6 @@ class _Transposed:
                            minlength=a.shape[1])
 
 
-def _first_non_finite(A: CSRMatrix):
-    """(row, column, value) of a non-finite stored entry of A in the first row
-    that has one, and how many there are; None if every entry is finite."""
-    bad = np.flatnonzero(~np.isfinite(A.data))
-    if not bad.size:
-        return None
-    k = bad[0]
-    return int(A.rows[k]), int(A.indices[k]), A.data[k], bad.size
-
-
-def _require_finite(v, what):
-    """Raise NonFiniteError naming the first non-finite entry of vector v."""
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise NonFiniteError(f"{what}[{bad[0]}] = {v[bad[0]]} is not finite "
-                             f"({bad.size} in all)")
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Linear equality constraints Ax = b with A of shape (m, n), m < n.
@@ -179,14 +173,9 @@ class ConstraintSystem:
             raise DimensionMismatchError(
                 f"right-hand side has length {b.shape[0]}, expected {m}"
             )
-        bad = _first_non_finite(A)
-        if bad is not None:
-            i, j, value, count = bad
-            raise NonFiniteError(
-                f"constraint matrix entry A[{i}, {j}] = {value} is not finite "
-                f"({count} in all)"
-            )
-        _require_finite(b, "right-hand side entry b")
+        _require_finite(A.data, lambda k: "constraint matrix entry "
+                        f"A[{A.rows[k]}, {A.indices[k]}]")
+        _require_finite(b, lambda i: f"right-hand side entry b[{i}]")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -245,14 +234,6 @@ class Projector:
     n: int
     m: int
     groups: Tuple[BlockGroup, ...]
-
-    def _check_vec(self, v, name="vector") -> np.ndarray:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"{name} has length {v.shape[0]}, expected {self.n}"
-            )
-        return v
 
 
 def _column_components(n, starts, cols, rows) -> np.ndarray:
@@ -355,7 +336,8 @@ def factor(cs: ConstraintSystem) -> Projector:
                                     - col_start[col_comp[col_order]])
     nz_comp = row_comp[nz_rows]
     nz_order, nz_start = _grouped(comp_group[nz_comp], shapes.size)
-    blocks = []
+    rank_tol = _RANK_GATE * n
+    groups = []
     for g in range(shapes.size):
         comps = comp_order[group_start[g]:group_start[g + 1]]
         r, c = int(r_count[comps[0]]), int(c_count[comps[0]])
@@ -365,10 +347,6 @@ def factor(cs: ConstraintSystem) -> Projector:
         at = np.zeros((comps.size, c, r))
         at[slot[nz_comp[nz]], col_rank[nz_cols[nz]], row_rank[nz_rows[nz]]] = a.data[nz]
         q, rr = np.linalg.qr(at)
-        blocks.append((rows, cols, q, rr))
-
-    rank_tol = _RANK_GATE * n
-    for rows, _, _, rr in blocks:
         diag = np.abs(np.diagonal(rr, axis1=1, axis2=2))
         bad = np.flatnonzero(diag.min(axis=1) <= rank_tol * diag.max(axis=1))
         if bad.size:
@@ -377,22 +355,24 @@ def factor(cs: ConstraintSystem) -> Projector:
                 f"{rows[bad[0]].tolist()} have min |R diag| = "
                 f"{diag[bad[0]].min():.3e}"
             )
+        b_r = np.linalg.solve(rr.transpose(0, 2, 1), cs.b[rows][..., None])[..., 0]
+        groups.append(BlockGroup(rows=rows, cols=cols, q=q, r=rr, b_r=b_r))
+    return Projector(n=n, m=m, groups=tuple(groups))
 
-    groups = tuple(
-        BlockGroup(rows=rows, cols=cols, q=q, r=rr,
-                   b_r=np.linalg.solve(rr.transpose(0, 2, 1),
-                                       cs.b[rows][..., None])[..., 0])
-        for rows, cols, q, rr in blocks)
-    return Projector(n=n, m=m, groups=groups)
+
+def _to_null_space(p: Projector, v, shifted: bool) -> np.ndarray:
+    """v - Q (Q^T v - t) over every group, with t each group's b_r when
+    shifted and 0 otherwise."""
+    out = v.copy()
+    for grp in p.groups:
+        coef = grp.coefficients(v)
+        out[grp.cols] -= grp.expand(coef - grp.b_r if shifted else coef)
+    return out
 
 
 def project_gradient(p: Projector, g) -> np.ndarray:
     """Project g onto the null space of A (the component with A @ Pg = 0)."""
-    g = p._check_vec(g, "gradient")
-    out = g.copy()
-    for grp in p.groups:
-        out[grp.cols] -= grp.expand(grp.coefficients(g))
-    return out
+    return _to_null_space(p, _vector(np.ravel(g), p.n, "gradient"), False)
 
 
 def make_feasible(p: Projector, x0) -> np.ndarray:
@@ -400,12 +380,9 @@ def make_feasible(p: Projector, x0) -> np.ndarray:
 
     A NaN or infinite entry of x0 raises :class:`NonFiniteError` naming it.
     """
-    x0 = p._check_vec(x0, "initial point")
-    _require_finite(x0, "initial point entry x0")
-    out = x0.copy()
-    for grp in p.groups:
-        out[grp.cols] -= grp.expand(grp.coefficients(x0) - grp.b_r)
-    return out
+    x0 = _vector(np.ravel(x0), p.n, "initial point")
+    _require_finite(x0, lambda i: f"initial point entry x0[{i}]")
+    return _to_null_space(p, x0, True)
 
 
 def multipliers(p: Projector, g) -> np.ndarray:
@@ -414,21 +391,18 @@ def multipliers(p: Projector, g) -> np.ndarray:
     Satisfies g + A^T lam = Pg, which makes the stationarity residual
     ``||g + A^T lam||`` identical to ``||Pg||``.
     """
-    g = p._check_vec(g, "gradient")
+    g = _vector(np.ravel(g), p.n, "gradient")
     lam = np.empty(p.m)
     for grp in p.groups:
         lam[grp.rows] = -np.linalg.solve(grp.r, grp.coefficients(g)[..., None])[..., 0]
     return lam
 
 
-def residuals(p: Projector, cs: ConstraintSystem, x, g,
-              lam) -> Tuple[float, float]:
+def residuals(cs: ConstraintSystem, x, g, lam) -> Tuple[float, float]:
     """Return (kkt_inf, feas_inf): ||g + A^T lam||_inf and ||Ax - b||_inf.
 
     ``lam`` are the multipliers at g, as returned by :func:`multipliers`.
     """
-    x = p._check_vec(x, "point")
-    g = p._check_vec(g, "gradient")
-    kkt = g + cs.A.T @ lam
-    feas = cs.A @ x - cs.b
+    kkt = _vector(np.ravel(g), cs.n, "gradient") + cs.A.T @ lam
+    feas = cs.A @ _vector(np.ravel(x), cs.n, "point") - cs.b
     return float(np.max(np.abs(kkt))), float(np.max(np.abs(feas)))

@@ -36,9 +36,6 @@ _GAMMA2 = 0.5
 _DT_MIN = 1e-16
 _DT_MAX = 1e16
 
-# The quasi-Newton pair is used only when |s.y| > _THETA * ||s||^2.
-_THETA = 1e-6
-
 # Consecutive rejections at the dt floor before the solver gives up.
 _STALL_LIMIT = 50
 
@@ -61,8 +58,8 @@ class SolverConfig:
 
     eps terminates on ``||pg||_inf <= eps``, dt0 seeds the time step and
     max_iter caps the loop iterations, rejected trials included. The
-    trust-region thresholds, the dt bounds and the curvature gate are
-    module constants.
+    trust-region thresholds and the dt bounds are constants of this
+    module, the curvature gate one of :mod:`eqflow.direction`.
     """
 
     eps: float = 1e-6
@@ -205,7 +202,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
     x = make_feasible(proj, problem.x0)
     f = float(problem.objective(x))
     g, pg = gradients(x)
-    n_f, n_g = 1, 1
+    n_g = 1
 
     history: List[IterationRecord] = []
 
@@ -213,21 +210,21 @@ def solve(problem, config: Optional[SolverConfig] = None,
         finite_g = _finite(gv)
         lam = multipliers(proj, gv) if finite_g else np.full(proj.m, np.nan)
         if finite_g and _finite(xv):
-            kkt, feas = residuals(proj, problem.cs, xv, gv, lam)
+            kkt, feas = residuals(problem.cs, xv, gv, lam)
         else:
             kkt, feas = math.inf, math.inf
         accepted = sum(1 for r in history if r.accepted)
+        # One objective call at the start and one per trial.
         return SolveResult(status=status, x_star=xv, f_star=fv, lambda_star=lam,
                            kkt_inf=kkt, feas_inf=feas, steps=accepted,
-                           total_iters=len(history), n_f=n_f, n_g=n_g,
-                           history=history)
+                           total_iters=len(history), n_f=len(history) + 1,
+                           n_g=n_g, history=history)
 
     if not math.isfinite(f) or pg is None:
         return finish(Status.NUMERICAL_ERROR, x, f, g)
 
     pair: Optional[CurvaturePair] = None
     dt = cfg.dt0
-    k = 0
     stalled = 0
 
     while True:
@@ -237,15 +234,14 @@ def solve(problem, config: Optional[SolverConfig] = None,
         if pg_inf <= cfg.eps:
             return finish(Status.CONVERGED, x, f, g)
         pg_2 = float(np.linalg.norm(pg))
-        d = direction(pg, pair, _THETA)
+        d = direction(pg, pair)
 
         while True:
-            if k >= cfg.max_iter:
+            if len(history) >= cfg.max_iter:
                 return finish(Status.MAX_ITERATIONS, x, f, g)
             s = trial_step(dt, d)
             x_trial = x + s
             f_trial = float(problem.objective(x_trial))
-            n_f += 1
 
             # s lies in null(A), so pg.s = g.s; g's range-space part only
             # adds rounding, which can cancel md below zero.
@@ -256,7 +252,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
                 n_g += 1
             accepted = rho > _ETA_A
 
-            record = IterationRecord(k=k, f=f, pg_norm_inf=pg_inf,
+            record = IterationRecord(k=len(history), f=f, pg_norm_inf=pg_inf,
                                      pg_norm_2=pg_2, dt=dt, rho=rho,
                                      accepted=accepted, model_decrease=md)
             history.append(record)
@@ -271,7 +267,6 @@ def solve(problem, config: Optional[SolverConfig] = None,
             if stalled >= _STALL_LIMIT:
                 return finish(Status.STALLED_TIME_STEP, x, f, g)
             dt = update_dt(dt, rho)
-            k += 1
             if accepted:
                 break
 

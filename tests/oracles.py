@@ -8,9 +8,9 @@ from scipy.optimize import minimize
 from eqflow.direction import CurvaturePair, curvature_gate
 
 
-def dense_h(pair: Optional[CurvaturePair], theta: float, n: int) -> np.ndarray:
+def dense_h(pair: Optional[CurvaturePair], n: int) -> np.ndarray:
     """Materialize the quasi-Newton H as an n-by-n matrix (test scale only)."""
-    if not curvature_gate(pair, theta):
+    if not curvature_gate(pair):
         return np.eye(n)
     s, y, c = pair.s, pair.y, pair.s_dot_y
     return (np.eye(n)

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from eqflow import (ConstraintSystem, PAPER_DIMS, PROBLEM_IDS, Status, build,
-                    direction, factor, make_feasible, project_gradient, solve)
+                    factor, make_feasible, project_gradient, solve)
 from eqflow.cli import main
-from eqflow.direction import CurvaturePair, curvature_gate
+from eqflow.direction import CurvaturePair, curvature_gate, direction
 from oracles import dense_h, ex8_block_minimum
 
 DESK_N = 120
@@ -87,9 +87,9 @@ def test_criterion_2_spectral_suite():
         n = int(rng.integers(3, 51))
         pair = CurvaturePair.from_step(rng.standard_normal(n),
                                        rng.standard_normal(n))
-        if not curvature_gate(pair, 1e-6):
+        if not curvature_gate(pair):
             continue
-        h = dense_h(pair, 1e-6, n)
+        h = dense_h(pair, n)
         ok &= np.allclose(h, h.T, atol=1e-12)
         mu = np.sort(np.linalg.eigvalsh(h))
         ok &= mu[0] > 0.5 - 1e-8
@@ -112,12 +112,12 @@ def test_criterion_3_direction_oracle():
         n = int(rng.integers(2, 51))
         pair = CurvaturePair.from_step(rng.standard_normal(n),
                                        rng.standard_normal(n))
-        if not curvature_gate(pair, 1e-6):
+        if not curvature_gate(pair):
             continue
         checked += 1
         pg = rng.standard_normal(n)
-        d = direction(pg, pair, 1e-6)
-        oracle = -dense_h(pair, 1e-6, n) @ pg
+        d = direction(pg, pair)
+        oracle = -dense_h(pair, n) @ pg
         ok &= np.linalg.norm(d - oracle) <= 1e-12 * max(np.linalg.norm(d), 1e-30)
         pg_sq = float(pg @ pg)
         ok &= float(d @ pg) <= -0.5 * pg_sq + 1e-10 * pg_sq

@@ -366,6 +366,36 @@ def test_project_gradient_dimension_check():
         project_gradient(p, np.ones(3))
 
 
+def test_vector_arguments_in_every_accepted_form():
+    # the projection functions take any array with n entries and flatten it,
+    # so a column-vector g gives the bytes of the flat g; A @ x and A.T @ y
+    # take 1-D vectors only. Lists and integers are taken as floats.
+    rng = np.random.default_rng(48)
+    cs, _ = block_system(rng, [(1, 2), (2, 3), (1, 3)], free=1)
+    p = factor(cs)
+    n, m = cs.n, cs.m
+    g, x = rng.standard_normal(n), rng.standard_normal(n)
+    lam = multipliers(p, g)
+    ints = np.arange(n) - 4
+    for shape in ((n, 1), (1, n)):
+        col_g, col_x = g.reshape(shape), x.reshape(shape)
+        assert project_gradient(p, col_g).tobytes() == project_gradient(p, g).tobytes()
+        assert make_feasible(p, col_x).tobytes() == make_feasible(p, x).tobytes()
+        assert multipliers(p, col_g).tobytes() == lam.tobytes()
+        assert residuals(cs, col_x, col_g, lam) == residuals(cs, x, g, lam)
+        with pytest.raises(DimensionMismatchError):
+            cs.A @ col_x
+    with pytest.raises(DimensionMismatchError):
+        cs.A.T @ lam.reshape(m, 1)
+    as_float = ints.astype(float)
+    assert (project_gradient(p, ints.tolist()).tobytes()
+            == project_gradient(p, as_float).tobytes())
+    assert make_feasible(p, ints).tobytes() == make_feasible(p, as_float).tobytes()
+    assert (cs.A @ ints).tobytes() == (cs.A @ as_float).tobytes()
+    assert (cs.A @ ints.tolist()).tobytes() == (cs.A @ as_float).tobytes()
+    assert (cs.A.T @ list(range(m))).tobytes() == (cs.A.T @ np.arange(m, dtype=float)).tobytes()
+
+
 def test_projection_properties_random():
     rng = np.random.default_rng(2024)
     for _ in range(60):
@@ -589,7 +619,7 @@ def test_residuals_zero_at_stationary_feasible():
     p = factor(cs)
     x = make_feasible(p, rng.standard_normal(6))
     g = A.T @ rng.standard_normal(2)  # gradient in the row space
-    kkt, feas = residuals(p, cs, x, g, multipliers(p, g))
+    kkt, feas = residuals(cs, x, g, multipliers(p, g))
     assert kkt <= 1e-10 and feas <= 1e-10
 
 
@@ -599,13 +629,12 @@ def test_residuals_at_pair_optimum():
     p = factor(cs)
     x = np.array([40.0 / 11.0, 4.0 / 11.0])
     g = np.array([2.0 * x[0], 20.0 * x[1]])
-    kkt, feas = residuals(p, cs, x, g, multipliers(p, g))
+    kkt, feas = residuals(cs, x, g, multipliers(p, g))
     assert kkt <= 1e-10 and feas <= 1e-10
 
 
 def test_residuals_infeasible_start():
     cs = ConstraintSystem(A=np.array([[1.0, 4.0, 2.0]]), b=np.array([3.0]))
-    p = factor(cs)
     x0 = np.array([-0.5, 1.5, 1.0])
-    _, feas = residuals(p, cs, x0, np.zeros(3), np.zeros(1))
+    _, feas = residuals(cs, x0, np.zeros(3), np.zeros(1))
     assert abs(feas - 4.5) < 1e-12

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,7 +233,7 @@ def test_solve_constant_offset_does_not_stall():
 
 def test_solve_identity_mode_is_projected_descent(monkeypatch):
     # an infinite gate threshold disables the quasi-Newton update entirely
-    monkeypatch.setattr("eqflow.solver._THETA", math.inf)
+    monkeypatch.setattr("eqflow.direction._THETA", math.inf)
     result = solve(build("ex1", 8))
     assert result.status is Status.CONVERGED
     assert abs(result.f_star - 4 * 160.0 / 11.0) < 1e-6 * 4 * 160.0 / 11.0
@@ -312,10 +316,25 @@ def test_solve_failed_invariants_end_with_numerical_error(monkeypatch):
     assert result.feas_inf > 1e-9 * 5.0
     with monkeypatch.context() as patch:
         # an ascent direction breaks the model-decrease bound
-        patch.setattr("eqflow.solver.direction", lambda pg, pair, theta: pg)
+        patch.setattr("eqflow.solver.direction", lambda pg, pair: pg)
         result = solve(problem)
     assert result.status is Status.NUMERICAL_ERROR
     assert result.total_iters == 1 and result.history[0].model_decrease < 0.0
+
+
+def test_invariant_checks_survive_python_O():
+    # the checks are plain ifs, not asserts, so python -O keeps them
+    code = ("import eqflow, eqflow.solver\n"
+            "eqflow.solver.direction = lambda pg, pair: pg\n"
+            "r = eqflow.solve(eqflow.build('ex1', 12))\n"
+            "print(__debug__, r.status.value, r.total_iters)\n")
+    src = Path(eqflow.solver.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src),
+                               "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "numerical_error", "1"]
 
 
 def test_solve_overflowing_trial_is_rejected_not_fatal():
@@ -366,6 +385,7 @@ def test_solve_rejected_iterations_not_counted_as_steps():
     result = solve(build("ex8", 12))
     rejected = sum(1 for r in result.history if not r.accepted)
     assert result.steps + rejected == result.total_iters
+    assert result.n_f == result.total_iters + 1
 
 
 def test_solve_direction_once_per_accepted_point(monkeypatch):
