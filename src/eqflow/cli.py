@@ -1,17 +1,16 @@
 """Benchmark command line: solve single problems, run the suite, check gradients.
 
 Machine-readable outputs (suite CSV, history CSV, JSON results) use fixed
-formatting (scientific notation, 9 significant digits) so identical runs
-produce identical bytes. Wall-clock timings are printed on the human side
-and, in the suite CSV, written as 0 unless --timing is given, keeping the
-CSV reproducible run to run.
+formatting (scientific notation, 9 significant digits). The CSVs hold no
+timings, so identical runs write identical bytes; wall-clock times appear
+in the human-readable output and as ``wall_ms`` in the JSON result.
 """
 
 import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
 from .solver import SolverConfig, Status, solve
 
 SUITE_COLUMNS = ("problem", "n", "m", "accepted_steps", "total_iters", "n_f",
-                 "n_g", "f_star", "kkt_inf", "feas_inf", "wall_ms", "status")
+                 "n_g", "f_star", "kkt_inf", "feas_inf", "status")
 HISTORY_COLUMNS = ("k", "f", "pg_inf", "pg_2", "dt", "rho", "accepted",
                    "model_decrease")
 
@@ -31,14 +30,16 @@ def _fmt(x: float) -> str:
     return f"{x:.8e}"
 
 
-def _write_history(path, history):
-    lines = [",".join(HISTORY_COLUMNS)]
-    for r in history:
-        lines.append(",".join((str(r.k), _fmt(r.f), _fmt(r.pg_norm_inf),
-                               _fmt(r.pg_norm_2), _fmt(r.dt), _fmt(r.rho),
-                               str(int(r.accepted)), _fmt(r.model_decrease))))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _cell(value) -> str:
+    """A CSV cell: floats by _fmt, booleans as 0/1, anything else by str."""
+    if isinstance(value, bool):
+        return str(int(value))
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _csv(columns, rows) -> str:
+    """A header of columns, then one line per row of cells in that order."""
+    return "".join(",".join(map(_cell, line)) + "\n" for line in [columns, *rows])
 
 
 def _solve_row(problem, cfg):
@@ -81,17 +82,10 @@ def cmd_solve(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if args.history:
-        _write_history(args.history, result.history)
+        # IterationRecord's fields are in HISTORY_COLUMNS order.
+        with open(args.history, "w") as fh:
+            fh.write(_csv(HISTORY_COLUMNS, map(astuple, result.history)))
     return 0 if result.status is Status.CONVERGED else 2
-
-
-def _format_suite_row(row, timing) -> str:
-    wall = _fmt(row["wall_ms"]) if timing else _fmt(0.0)
-    return ",".join((row["problem"], str(row["n"]), str(row["m"]),
-                     str(row["accepted_steps"]), str(row["total_iters"]),
-                     str(row["n_f"]), str(row["n_g"]), _fmt(row["f_star"]),
-                     _fmt(row["kkt_inf"]), _fmt(row["feas_inf"]),
-                     wall, row["status"]))
 
 
 def cmd_suite(args) -> int:
@@ -120,9 +114,7 @@ def cmd_suite(args) -> int:
               f"({row['wall_ms']:.1f} ms)", file=sys.stderr)
         rows.append(row)
 
-    lines = [",".join(SUITE_COLUMNS)]
-    lines.extend(_format_suite_row(row, args.timing) for row in rows)
-    text = "\n".join(lines) + "\n"
+    text = _csv(SUITE_COLUMNS, ([row[c] for c in SUITE_COLUMNS] for row in rows))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -172,9 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     size.add_argument("--n", type=int, help="use this n for every problem")
     p_suite.add_argument("--only", help="comma-separated subset of problem ids")
     p_suite.add_argument("--out", help="write the report CSV here (default stdout)")
-    p_suite.add_argument("--timing", action="store_true",
-                         help="put measured wall_ms in the CSV (breaks "
-                              "byte-reproducibility of the report)")
     p_suite.set_defaults(func=cmd_suite)
 
     p_grad = sub.add_parser("check-grad", help="finite-difference gradient check")

@@ -263,17 +263,15 @@ def _column_components(n, starts, cols, rows) -> np.ndarray:
         label = new
 
 
-def _grouped(keys, size):
-    """Stable order of 0..len(keys)-1 by key, and each key's start in it."""
-    return np.argsort(keys, kind="stable"), _starts(keys, size)
-
-
 def factor(cs: ConstraintSystem) -> Projector:
     """Factor A^T = Q R by Householder reflections, one component at a time.
 
     The connected components of the bipartite row/column graph of A are
     grouped by shape (r rows, c columns), and each group's stacked (k, c, r)
-    blocks of A^T go through one batched ``np.linalg.qr``.
+    blocks of A^T go through one batched ``np.linalg.qr``. One stable sort
+    of the rows and one of the used columns by (group, component) make each
+    group one run of each: groups in increasing (r, c), components by their
+    smallest column, and each component's rows and columns increasing.
 
     Parameters
     ----------
@@ -291,8 +289,7 @@ def factor(cs: ConstraintSystem) -> Projector:
     """
     a = cs.A
     m, n = a.shape
-    counts = np.diff(a.indptr)
-    empty = np.flatnonzero(counts == 0)
+    empty = np.flatnonzero(np.diff(a.indptr) == 0)
     if empty.size:
         raise RankDeficientError(
             f"constraint matrix is rank deficient: row(s) {empty[:10].tolist()} "
@@ -300,52 +297,49 @@ def factor(cs: ConstraintSystem) -> Projector:
         )
     nz_cols, nz_rows = a.indices, a.rows
     label = _column_components(n, a.indptr[:-1], nz_cols, nz_rows)
-
-    comp_ids, row_comp = np.unique(label[nz_cols[a.indptr[:-1]]],
-                                   return_inverse=True)
-    num = comp_ids.size
-    used = np.zeros(n, dtype=bool)
-    used[nz_cols] = True
-    col_idx = np.flatnonzero(used)
-    col_comp = np.searchsorted(comp_ids, label[col_idx])
-    row_order, row_start = _grouped(row_comp, num)
-    col_order, col_start = _grouped(col_comp, num)
-    r_count, c_count = np.diff(row_start), np.diff(col_start)
+    # A component is named by its label, its smallest column.
+    row_label = label[nz_cols[a.indptr[:-1]]]
+    col_idx = np.flatnonzero(np.bincount(nz_cols, minlength=n))
+    col_label = label[col_idx]
+    r_count = np.bincount(row_label, minlength=n)
+    c_count = np.bincount(col_label, minlength=n)
 
     wide = np.flatnonzero(r_count > c_count)
     if wide.size:
         comp = wide[0]
-        rows = row_order[row_start[comp]:row_start[comp + 1]]
         raise RankDeficientError(
-            f"constraint matrix is rank deficient: rows {rows.tolist()} "
+            f"constraint matrix is rank deficient: rows "
+            f"{np.flatnonzero(row_label == comp).tolist()} "
             f"involve only {c_count[comp]} variable(s)"
         )
 
-    shapes, comp_group = np.unique(r_count * (n + 1) + c_count,
-                                   return_inverse=True)
-    comp_order, group_start = _grouped(comp_group, shapes.size)
+    comps = np.flatnonzero(c_count)
+    shapes, comp_group, sizes = np.unique(r_count[comps] * (n + 1) + c_count[comps],
+                                          return_inverse=True, return_counts=True)
+    group = np.zeros(n, dtype=np.intp)
+    group[comps] = comp_group
+    row_order = np.argsort(group[row_label] * n + row_label, kind="stable")
+    col_order = col_idx[np.argsort(group[col_label] * n + col_label,
+                                   kind="stable")]
     # Each nonzero's place in its group's (k, c, r) stack of A^T blocks: the
     # slot of its component in the group, and the rank of its column and of
     # its row in the component.
-    slot = np.empty(num, dtype=np.intp)
-    slot[comp_order] = np.arange(num) - group_start[comp_group[comp_order]]
-    row_rank = np.empty(m, dtype=np.intp)
-    row_rank[row_order] = np.arange(m) - row_start[row_comp[row_order]]
-    col_rank = np.empty(n, dtype=np.intp)
-    col_rank[col_idx[col_order]] = (np.arange(col_idx.size)
-                                    - col_start[col_comp[col_order]])
-    nz_comp = row_comp[nz_rows]
-    nz_order, nz_start = _grouped(comp_group[nz_comp], shapes.size)
+    row_slot, row_rank, col_rank = np.empty((3, n), dtype=np.intp)  # m < n
+    nz_group = group[row_label[nz_rows]]
     rank_tol = _RANK_GATE * n
     groups = []
-    for g in range(shapes.size):
-        comps = comp_order[group_start[g]:group_start[g + 1]]
-        r, c = int(r_count[comps[0]]), int(c_count[comps[0]])
-        rows = row_order[row_start[comps][:, None] + np.arange(r)]
-        cols = col_idx[col_order[col_start[comps][:, None] + np.arange(c)]]
-        nz = nz_order[nz_start[g]:nz_start[g + 1]]
-        at = np.zeros((comps.size, c, r))
-        at[slot[nz_comp[nz]], col_rank[nz_cols[nz]], row_rank[nz_rows[nz]]] = a.data[nz]
+    row_end = col_end = 0
+    for g, (key, k) in enumerate(zip(shapes.tolist(), sizes.tolist())):
+        r, c = divmod(key, n + 1)
+        rows = row_order[row_end:row_end + k * r].reshape(k, r)
+        cols = col_order[col_end:col_end + k * c].reshape(k, c)
+        row_end, col_end = row_end + k * r, col_end + k * c
+        row_slot[rows] = np.arange(k)[:, None]
+        row_rank[rows] = np.arange(r)
+        col_rank[cols] = np.arange(c)
+        nz = np.flatnonzero(nz_group == g)
+        at = np.zeros((k, c, r))
+        at[row_slot[nz_rows[nz]], col_rank[nz_cols[nz]], row_rank[nz_rows[nz]]] = a.data[nz]
         q, rr = np.linalg.qr(at)
         diag = np.abs(np.diagonal(rr, axis1=1, axis2=2))
         bad = np.flatnonzero(diag.min(axis=1) <= rank_tol * diag.max(axis=1))

@@ -193,16 +193,19 @@ def solve(problem, config: Optional[SolverConfig] = None,
     b = np.asarray(problem.cs.b, dtype=float)
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
 
+    n_g = 0
+
     def gradients(xv):
         """The gradient at xv and its projection; None for the projection
-        when g is not finite. The one finiteness test of each gradient."""
+        when g is not finite. Counts each gradient and tests it once."""
+        nonlocal n_g
+        n_g += 1
         gv = np.asarray(problem.gradient(xv), dtype=float)
         return gv, (project_gradient(proj, gv) if _finite(gv) else None)
 
     x = make_feasible(proj, problem.x0)
     f = float(problem.objective(x))
     g, pg = gradients(x)
-    n_g = 1
 
     history: List[IterationRecord] = []
 
@@ -248,8 +251,6 @@ def solve(problem, config: Optional[SolverConfig] = None,
             md = model_decrease(dt, pg, s)
             rho, trial = trial_ratio(f, f_trial, md, pg, s,
                                      lambda: gradients(x_trial))
-            if trial is not None:
-                n_g += 1
             accepted = rho > _ETA_A
 
             record = IterationRecord(k=len(history), f=f, pg_norm_inf=pg_inf,
@@ -272,7 +273,6 @@ def solve(problem, config: Optional[SolverConfig] = None,
 
         if trial is None:
             trial = gradients(x_trial)
-            n_g += 1
         g_trial, pg_trial = trial
         if pg_trial is None:
             return finish(Status.NUMERICAL_ERROR, x, f, g)

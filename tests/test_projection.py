@@ -71,6 +71,22 @@ def assert_matches_oracles(cs, A, rng, atol=1e-10):
     assert_allclose(multipliers(p, g), lam, atol=atol)
 
 
+def assert_block_layout(p, A):
+    """The layout factor keeps: groups in increasing (r, c), the components
+    of a group by their smallest column, each component's rows and columns
+    increasing, and each row and each column with a nonzero in one block."""
+    shapes = [(grp.rows.shape[1], grp.cols.shape[1]) for grp in p.groups]
+    assert shapes == sorted(set(shapes))
+    for grp in p.groups:
+        assert np.all(np.diff(grp.rows, axis=1) > 0)
+        assert np.all(np.diff(grp.cols, axis=1) > 0)
+        assert np.all(np.diff(grp.cols[:, 0]) > 0)
+    rows = np.concatenate([grp.rows.ravel() for grp in p.groups])
+    cols = np.concatenate([grp.cols.ravel() for grp in p.groups])
+    assert_array_equal(np.sort(rows), np.arange(A.shape[0]))
+    assert_array_equal(np.sort(cols), np.flatnonzero(np.any(A, axis=0)))
+
+
 def test_factor_1x2_hand():
     # x + y = 4: P = I - 11^T/2, least-distance point of 0 is (2, 2), and
     # lam = -(g_x + g_y)/2
@@ -103,6 +119,7 @@ def test_factor_matches_dense_projection():
                       [np.zeros((4, A.shape[1])), chain]])
         A = A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
         cs = ConstraintSystem(A=sp.csr_matrix(A), b=rng.standard_normal(A.shape[0]))
+        assert_block_layout(factor(cs), A)
         assert_matches_oracles(cs, A, rng)
 
 
@@ -446,6 +463,8 @@ def test_projector_properties_scaled_blocks(case):
     A = d[:, None] * A0
     cs0 = ConstraintSystem(A=sp.csr_matrix(A0), b=b0)
     p0, p = factor(cs0), factor(ConstraintSystem(A=sp.csr_matrix(A), b=d * b0))
+    assert_block_layout(p0, A0)
+    assert_block_layout(p, A)
     gnorm = np.linalg.norm(g)
     pg = project_gradient(p, g)
     assert_allclose(project_gradient(p, pg), pg, rtol=0, atol=1e-10 * gnorm)

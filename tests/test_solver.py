@@ -115,11 +115,13 @@ def test_trial_ratio_noise_floor_switch():
 
 
 def test_trial_ratio_noise_floor_uses_projected_gradients():
-    # f = C + 1e12 * sum(x) + |x|^2/2 on sum(x) = 0: the gradient 1e12 + x is
+    # f = C + 1e13 * sum(x) + |x|^2/2 on sum(x) = 0: the gradient 1e13 + x is
     # almost all range space, and the projected gradient is x - mean(x). At
-    # the noise floor the trapezoid with raw gradients sums 2e12 * s, whose
-    # rounding swamps the true decrease; the projected one is exact.
-    offset, slope = 1e8, 1e12
+    # the noise floor the trapezoid with raw gradients sums 2e13 * s, whose
+    # rounding swamps the true decrease; the projected one is exact. The raw
+    # trapezoid is summed by math.fsum, so its error does not depend on the
+    # order in which np.dot's BLAS kernel adds the products.
+    offset, slope = 1e8, 1e13
 
     def f(x):
         return offset + slope * float(np.sum(x)) + 0.5 * float(x @ x)
@@ -134,7 +136,7 @@ def test_trial_ratio_noise_floor_uses_projected_gradients():
     f_old, f_new = f(x), f(x + s)
     assert abs(f_old - f_new) <= 1e3 * np.finfo(float).eps * abs(f_old)
     g_trial, pg_trial = gradients(x + s)
-    unprojected = -0.5 * float(np.dot(g + g_trial, s)) / md
+    unprojected = -0.5 * math.fsum((g + g_trial) * s) / md
     assert abs(unprojected - 1.0) > 1.0
     rho, trial = trial_ratio(f_old, f_new, md, pg, s, lambda: gradients(x + s))
     assert rho == pytest.approx(1.0, rel=1e-9)
