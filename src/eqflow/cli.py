@@ -10,18 +10,17 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 
 import numpy as np
 
 from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
                        build, gradient_check, known_optima)
-from .solver import SolverConfig, Status, solve
+from .solver import IterationRecord, SolverConfig, Status, solve
 
 SUITE_COLUMNS = ("problem", "n", "m", "accepted_steps", "total_iters", "n_f",
                  "n_g", "f_star", "kkt_inf", "feas_inf", "status")
-HISTORY_COLUMNS = ("k", "f", "pg_inf", "pg_2", "dt", "rho", "accepted",
-                   "model_decrease")
+HISTORY_COLUMNS = IterationRecord._fields
 
 GRAD_TOL = 1e-5
 
@@ -82,9 +81,8 @@ def cmd_solve(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if args.history:
-        # IterationRecord's fields are in HISTORY_COLUMNS order.
         with open(args.history, "w") as fh:
-            fh.write(_csv(HISTORY_COLUMNS, map(astuple, result.history)))
+            fh.write(_csv(HISTORY_COLUMNS, result.history))
     return 0 if result.status is Status.CONVERGED else 2
 
 
@@ -140,10 +138,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Benchmark runner for the equality-constrained "
                     "continuation solver.")
     sub = parser.add_subparsers(dest="command", required=True)
+    one_problem = argparse.ArgumentParser(add_help=False)
+    one_problem.add_argument("--problem", required=True, choices=PROBLEM_IDS)
+    one_problem.add_argument("--n", type=int, required=True)
 
-    p_solve = sub.add_parser("solve", help="solve one benchmark problem")
-    p_solve.add_argument("--problem", required=True, choices=PROBLEM_IDS)
-    p_solve.add_argument("--n", type=int, required=True)
+    p_solve = sub.add_parser("solve", parents=[one_problem],
+                             help="solve one benchmark problem")
     p_solve.add_argument("--tol", type=float, default=SolverConfig.eps,
                          help="termination tolerance on ||pg||_inf")
     p_solve.add_argument("--dt0", type=float, default=SolverConfig.dt0,
@@ -166,9 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--out", help="write the report CSV here (default stdout)")
     p_suite.set_defaults(func=cmd_suite)
 
-    p_grad = sub.add_parser("check-grad", help="finite-difference gradient check")
-    p_grad.add_argument("--problem", required=True)
-    p_grad.add_argument("--n", type=int, required=True)
+    p_grad = sub.add_parser("check-grad", parents=[one_problem],
+                            help="finite-difference gradient check")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--points", type=int, default=10)
     p_grad.set_defaults(func=cmd_check_grad)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .projection import DimensionMismatchError
+from .projection import _vector
 
 # The quasi-Newton pair is used only when |s.y| > _THETA * ||s||^2.
 _THETA = 1e-6
@@ -35,12 +35,8 @@ class CurvaturePair:
 
     @classmethod
     def from_step(cls, s, y) -> "CurvaturePair":
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if s.shape != y.shape:
-            raise DimensionMismatchError(
-                f"step and gradient-change shapes differ: {s.shape} vs {y.shape}"
-            )
+        s = _vector(s, np.size(s), "step")
+        y = _vector(y, s.size, "gradient change")
         return cls(s=s, y=y, s_dot_y=float(s @ y), s_sq=float(s @ s),
                    y_sq=float(y @ y))
 
@@ -54,13 +50,9 @@ def curvature_gate(pair: Optional[CurvaturePair]) -> bool:
 
 def direction(pg, pair: Optional[CurvaturePair]) -> np.ndarray:
     """Return d = -H @ pg for the gated rank-two H (identity if gate fails)."""
-    pg = np.asarray(pg, dtype=float)
     if not curvature_gate(pair):
-        return -pg
-    if pair.s.shape != pg.shape:
-        raise DimensionMismatchError(
-            f"pair has shape {pair.s.shape}, gradient has shape {pg.shape}"
-        )
+        return -np.asarray(pg, dtype=float)
+    pg = _vector(pg, pair.s.size, "projected gradient")
     c = pair.s_dot_y
     s_pg = float(pair.s @ pg)
     y_pg = float(pair.y @ pg)

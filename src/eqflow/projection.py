@@ -164,15 +164,11 @@ class ConstraintSystem:
     def __post_init__(self):
         A = CSRMatrix.from_matrix(self.A)
         m, n = A.shape
-        b = np.asarray(self.b, dtype=float).ravel()
         if m < 1 or n < 2 or m >= n:
             raise DimensionMismatchError(
                 f"constraint matrix must satisfy 1 <= m < n, n >= 2, got m={m} n={n}"
             )
-        if b.shape[0] != m:
-            raise DimensionMismatchError(
-                f"right-hand side has length {b.shape[0]}, expected {m}"
-            )
+        b = _vector(np.ravel(self.b), m, "right-hand side")
         _require_finite(A.data, lambda k: "constraint matrix entry "
                         f"A[{A.rows[k]}, {A.indices[k]}]")
         _require_finite(b, lambda i: f"right-hand side entry b[{i}]")
@@ -326,6 +322,8 @@ def factor(cs: ConstraintSystem) -> Projector:
     # its row in the component.
     row_slot, row_rank, col_rank = np.empty((3, n), dtype=np.intp)  # m < n
     nz_group = group[row_label[nz_rows]]
+    nz_order = np.argsort(nz_group, kind="stable")
+    nz_start = _starts(nz_group, len(sizes))
     rank_tol = _RANK_GATE * n
     groups = []
     row_end = col_end = 0
@@ -337,7 +335,7 @@ def factor(cs: ConstraintSystem) -> Projector:
         row_slot[rows] = np.arange(k)[:, None]
         row_rank[rows] = np.arange(r)
         col_rank[cols] = np.arange(c)
-        nz = np.flatnonzero(nz_group == g)
+        nz = nz_order[nz_start[g]:nz_start[g + 1]]
         at = np.zeros((k, c, r))
         at[row_slot[nz_rows[nz]], col_rank[nz_cols[nz]], row_rank[nz_rows[nz]]] = a.data[nz]
         q, rr = np.linalg.qr(at)

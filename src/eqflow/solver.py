@@ -18,7 +18,7 @@ of f: its f may exceed the previous one by at most 1e3 * eps_mach * |f|.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -76,14 +76,13 @@ class SolverConfig:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One loop iteration: trial ratio, time step and model decrease."""
+class IterationRecord(NamedTuple):
+    """One loop iteration, and one row of ``solve --history`` in field order."""
 
     k: int
     f: float
-    pg_norm_inf: float
-    pg_norm_2: float
+    pg_inf: float
+    pg_2: float
     dt: float
     rho: float
     accepted: bool
@@ -190,7 +189,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
     cfg.validate()
 
     proj = factor(problem.cs)
-    b = np.asarray(problem.cs.b, dtype=float)
+    b = problem.cs.b
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
 
     n_g = 0
@@ -253,9 +252,8 @@ def solve(problem, config: Optional[SolverConfig] = None,
                                      lambda: gradients(x_trial))
             accepted = rho > _ETA_A
 
-            record = IterationRecord(k=len(history), f=f, pg_norm_inf=pg_inf,
-                                     pg_norm_2=pg_2, dt=dt, rho=rho,
-                                     accepted=accepted, model_decrease=md)
+            record = IterationRecord(len(history), f, pg_inf, pg_2, dt, rho,
+                                     accepted, md)
             history.append(record)
             if callback is not None:
                 callback(record)

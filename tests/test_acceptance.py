@@ -219,7 +219,7 @@ def test_criterion_7_invariants_during_solves():
             ok = False
             bad.append(f"{pid}:monotone")
         for rec in hist:
-            bound = rec.dt / (4.0 * (1.0 + rec.dt)) * rec.pg_norm_2 ** 2
+            bound = rec.dt / (4.0 * (1.0 + rec.dt)) * rec.pg_2 ** 2
             if rec.model_decrease < bound - 1e-12:
                 ok = False
                 bad.append(f"{pid}:model")

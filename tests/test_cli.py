@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import eqflow
+from eqflow import IterationRecord
 from eqflow.cli import HISTORY_COLUMNS, SUITE_COLUMNS, main
 
 SCI9 = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
@@ -59,6 +60,7 @@ def test_solve_history_row_per_iteration(tmp_path):
                  "--json", str(out), "--history", str(hist)]) == 0
     payload = json.loads(out.read_text())
     lines = hist.read_text().splitlines()
+    assert lines[0] == ",".join(IterationRecord._fields)
     assert len(lines) == 1 + payload["total_iters"]
 
 
@@ -141,6 +143,7 @@ def test_check_grad_ex8_seeded(capsys):
 
 def test_check_grad_unknown_problem(capsys):
     assert main(["check-grad", "--problem", "exZ", "--n", "12"]) == 1
+    assert "invalid choice: 'exZ'" in capsys.readouterr().err
 
 
 def test_import_and_runs_load_no_scipy():

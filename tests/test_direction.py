@@ -73,9 +73,11 @@ def test_direction_collapses_for_parallel_pair():
 
 def test_direction_shape_check():
     pair = CurvaturePair.from_step([1.0, 1.0], [1.0, 0.0])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"projected gradient has shape \(3,\), expected \(2,\)"):
         direction(np.ones(3), pair)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"gradient change has shape \(2,\), expected \(3,\)"):
         CurvaturePair.from_step(np.ones(3), np.ones(2))
 
 

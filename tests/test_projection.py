@@ -261,8 +261,9 @@ def test_factor_memory_linear_in_n():
 def test_constraint_system_shape_validation():
     with pytest.raises(DimensionMismatchError):
         ConstraintSystem(A=np.ones((2, 2)), b=np.zeros(2))  # m == n
-    with pytest.raises(DimensionMismatchError):
-        ConstraintSystem(A=np.ones((1, 3)), b=np.zeros(2))  # wrong b length
+    with pytest.raises(DimensionMismatchError,
+                       match=r"right-hand side has shape \(2,\), expected \(1,\)"):
+        ConstraintSystem(A=np.ones((1, 3)), b=np.zeros(2))
 
 
 def test_constraint_system_non_finite_entries():

@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import eqflow.solver
 from eqflow import (PAPER_DIMS, ConstraintSystem, SolverConfig, Status, build,
                     factor, make_feasible, project_gradient, solve)
-from eqflow.problems import Problem
+from eqflow.problems import Problem, _block_constraints, _evaluator, _Spec
 from eqflow.solver import model_decrease, trial_ratio, trial_step, update_dt
 
 
@@ -215,7 +217,7 @@ def test_solve_monotone_objective_and_model_bound():
     for prev, cur in zip(hist, hist[1:]):
         assert cur.f <= prev.f + 1e-12 * max(1.0, abs(prev.f))
     for rec in hist:
-        bound = rec.dt / (4.0 * (1.0 + rec.dt)) * rec.pg_norm_2 ** 2
+        bound = rec.dt / (4.0 * (1.0 + rec.dt)) * rec.pg_2 ** 2
         assert rec.model_decrease >= bound - 1e-12
         assert rec.model_decrease > 0.0
 
@@ -423,3 +425,86 @@ def test_solve_projects_each_gradient_once(monkeypatch):
     assert result.status is Status.CONVERGED
     assert trapezoids  # an accepted step came through the noise floor
     assert len(projections) == result.n_g
+
+
+# ------------------------------------------------ global convergence, property
+
+@st.composite
+def bounded_block_problems(draw):
+    """A random block problem that is bounded below on its constraint set,
+    and its block of constraint rows.
+
+    Every variable of a block gets an even pure power with a positive
+    coefficient, and every other term (linear ones included) has a degree
+    below the smallest pure power among its variables, so the pure powers
+    dominate far out. Each block has 1 to w - 1 full-rank constraint rows.
+    """
+    w = draw(st.integers(2, 4))
+    pure = [draw(st.sampled_from((2, 4, 6))) for _ in range(w)]
+    terms = [(draw(st.floats(0.5, 3.0)), tuple(e if j == i else 0 for j in range(w)))
+             for i, e in enumerate(pure)]
+    for _ in range(draw(st.integers(0, 4))):
+        owners = draw(st.lists(st.integers(0, w - 1), min_size=1, max_size=w,
+                               unique=True))
+        top = min(pure[k] for k in owners) - 1
+        if len(owners) > top:  # no degree fits
+            continue
+        exponents = [0] * w
+        for k in owners:
+            exponents[k] = 1
+        for _ in range(draw(st.integers(len(owners), top)) - len(owners)):
+            exponents[draw(st.sampled_from(owners))] += 1
+        terms.append((draw(st.floats(-3.0, 3.0)), tuple(exponents)))
+    r = draw(st.integers(1, w - 1))
+    rows = tuple(tuple(draw(st.lists(st.integers(-3, 3), min_size=w, max_size=w)))
+                 for _ in range(r))
+    assume(np.linalg.matrix_rank(np.array(rows, dtype=float)) == r)
+    rhs = tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=r, max_size=r)))
+    n = w * draw(st.integers(1, 59))
+    objective, gradient, block_values = _evaluator(
+        _Spec(w, tuple(terms), rows, rhs, (0.0,), n))
+    A, b = _block_constraints(n, rows, rhs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problem = Problem(name="random", objective=objective, gradient=gradient,
+                      cs=ConstraintSystem(A=A, b=b), x0=rng.uniform(-2.0, 2.0, n),
+                      block_values=block_values)
+    return problem, np.array(rows, dtype=float)
+
+
+def least_reduced_curvature(problem, rows, x):
+    """The smallest eigenvalue, over the blocks, of Z^T H Z at x: H is the
+    block's Hessian by central differences of the gradient, Z an orthonormal
+    basis of the null space of the block's constraint rows."""
+    r, w = rows.shape
+    z = np.linalg.svd(rows)[2][r:].T
+    columns = []
+    for i in range(w):
+        e = np.zeros_like(x)
+        e[i::w] = 1e-5
+        columns.append((problem.gradient(x + e) - problem.gradient(x - e)) / 2e-5)
+    hessians = np.stack([c.reshape(-1, w) for c in columns], axis=2)
+    return np.linalg.eigvalsh(z.T @ hessians @ z).min()
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(bounded_block_problems())
+def test_solve_converges_on_bounded_block_problems(case):
+    problem, rows = case
+    result = solve(problem)
+    if least_reduced_curvature(problem, rows, result.x_star) > 1e-3:
+        assert result.status is Status.CONVERGED
+    else:
+        # A degenerate minimizer (such as x^6 + y^6 at 0): rho stays in the
+        # dead band of the time-step rule, so dt never grows and ||pg|| only
+        # crawls towards eps (CHANGES.md FOUND).
+        assert result.status in (Status.CONVERGED, Status.MAX_ITERATIONS)
+        assert result.kkt_inf <= 10.0 * SolverConfig.eps  # ||Pg|| at x*
+    # f at successive accepted points falls, up to the ratio test's noise floor
+    fs = [rec.f for rec in result.history] + [result.f_star]
+    eps = np.finfo(float).eps
+    for f_prev, f_next in zip(fs, fs[1:]):
+        assert f_next - f_prev <= 1e3 * eps * max(abs(f_prev), abs(f_next))
+    assert result.feas_inf <= 1e-9 * (1.0 + np.max(np.abs(problem.cs.b)))
+    for rec in result.history:  # criterion 7
+        bound = rec.dt / (4.0 * (1.0 + rec.dt)) * rec.pg_2 ** 2
+        assert rec.model_decrease >= bound - 1e-12
