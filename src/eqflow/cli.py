@@ -89,8 +89,10 @@ def cmd_solve(args) -> int:
 def cmd_suite(args) -> int:
     cfg = SolverConfig()
     ids = list(PROBLEM_IDS)
-    if args.only:
+    if args.only is not None:
         requested = [p.strip() for p in args.only.split(",") if p.strip()]
+        if not requested:
+            raise BadDimensionError(f"--only names no problem: {args.only!r}")
         unknown = [p for p in requested if p not in PROBLEM_IDS]
         if unknown:
             raise BadDimensionError(f"unknown problem ids: {unknown}")

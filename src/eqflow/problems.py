@@ -289,8 +289,10 @@ def gradient_check(problem: Problem, num_points: int = 10,
     A block's difference is also more accurate than one of the whole sum,
     which carries the rounding error of all n/w blocks. The two perturbed
     points are reused from call to call, so a callback must not keep its
-    argument.
+    argument. A ``num_points`` below 1 raises ValueError.
     """
+    if num_points < 1:
+        raise ValueError(f"num_points must be positive, got {num_points}")
     proj = factor(problem.cs)
     base = make_feasible(proj, problem.x0)
     rng = np.random.default_rng(seed)

@@ -99,7 +99,7 @@ class SolveResult:
     feas_inf: float
     steps: int            # accepted iterations
     total_iters: int      # loop iterations including rejected trials
-    n_f: int
+    n_f: int              # one objective call at the start and one per trial
     n_g: int
     history: List[IterationRecord] = field(default_factory=list)
 
@@ -207,74 +207,64 @@ def solve(problem, config: Optional[SolverConfig] = None,
     g, pg = gradients(x)
 
     history: List[IterationRecord] = []
-
-    def finish(status, xv, fv, gv):
-        finite_g = _finite(gv)
-        lam = multipliers(proj, gv) if finite_g else np.full(proj.m, np.nan)
-        if finite_g and _finite(xv):
-            kkt, feas = residuals(problem.cs, xv, gv, lam)
-        else:
-            kkt, feas = math.inf, math.inf
-        accepted = sum(1 for r in history if r.accepted)
-        # One objective call at the start and one per trial.
-        return SolveResult(status=status, x_star=xv, f_star=fv, lambda_star=lam,
-                           kkt_inf=kkt, feas_inf=feas, steps=accepted,
-                           total_iters=len(history), n_f=len(history) + 1,
-                           n_g=n_g, history=history)
-
-    if not math.isfinite(f) or pg is None:
-        return finish(Status.NUMERICAL_ERROR, x, f, g)
-
+    status = None if math.isfinite(f) and pg is not None else Status.NUMERICAL_ERROR
     pair: Optional[CurvaturePair] = None
-    dt = cfg.dt0
-    stalled = 0
+    d = None
+    dt, stalled = cfg.dt0, 0
 
-    while True:
-        # Once per accepted point: a rejected trial leaves x, g and pg as
-        # they are, so the test, the norms and d carry over to the next trial.
-        pg_inf = float(np.max(np.abs(pg)))
-        if pg_inf <= cfg.eps:
-            return finish(Status.CONVERGED, x, f, g)
-        pg_2 = float(np.linalg.norm(pg))
-        d = direction(pg, pair)
+    while status is None:
+        if d is None:
+            # Once per accepted point: a rejected trial leaves x, g and pg as
+            # they are, so the test, the norms and d carry over to the next trial.
+            pg_inf = float(np.max(np.abs(pg)))
+            if pg_inf <= cfg.eps:
+                status = Status.CONVERGED
+                continue
+            pg_2 = float(np.linalg.norm(pg))
+            d = direction(pg, pair)
+        if len(history) >= cfg.max_iter:
+            status = Status.MAX_ITERATIONS
+            continue
+        s = trial_step(dt, d)
+        x_trial = x + s
+        f_trial = float(problem.objective(x_trial))
 
-        while True:
-            if len(history) >= cfg.max_iter:
-                return finish(Status.MAX_ITERATIONS, x, f, g)
-            s = trial_step(dt, d)
-            x_trial = x + s
-            f_trial = float(problem.objective(x_trial))
+        # s lies in null(A), so pg.s = g.s; g's range-space part only
+        # adds rounding, which can cancel md below zero.
+        md = model_decrease(dt, pg, s)
+        rho, trial = trial_ratio(f, f_trial, md, pg, s, lambda: gradients(x_trial))
+        accepted = rho > _ETA_A
 
-            # s lies in null(A), so pg.s = g.s; g's range-space part only
-            # adds rounding, which can cancel md below zero.
-            md = model_decrease(dt, pg, s)
-            rho, trial = trial_ratio(f, f_trial, md, pg, s,
-                                     lambda: gradients(x_trial))
-            accepted = rho > _ETA_A
+        record = IterationRecord(len(history), f, pg_inf, pg_2, dt, rho, accepted, md)
+        history.append(record)
+        if callback is not None:
+            callback(record)
+        stalled = stalled + 1 if not accepted and dt <= _DT_MIN else 0
+        # H has eigenvalues > 1/2, so the model decrease is bounded below
+        # by dt/(4(1+dt)) * ||pg||^2 up to rounding.
+        if not md >= dt / (4.0 * (1.0 + dt)) * pg_2 ** 2 - 1e-12:
+            status = Status.NUMERICAL_ERROR
+        elif stalled >= _STALL_LIMIT:
+            status = Status.STALLED_TIME_STEP
+        elif accepted:
+            g_trial, pg_trial = trial if trial is not None else gradients(x_trial)
+            if pg_trial is None:
+                status = Status.NUMERICAL_ERROR
+            else:
+                pair = CurvaturePair.from_step(s, pg_trial - pg)
+                x, f, g, pg, d = x_trial, f_trial, g_trial, pg_trial, None
+                if not float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol:
+                    status = Status.NUMERICAL_ERROR
+        dt = update_dt(dt, rho)
 
-            record = IterationRecord(len(history), f, pg_inf, pg_2, dt, rho,
-                                     accepted, md)
-            history.append(record)
-            if callback is not None:
-                callback(record)
-            # H has eigenvalues > 1/2, so the model decrease is bounded below
-            # by dt/(4(1+dt)) * ||pg||^2 up to rounding.
-            if not md >= dt / (4.0 * (1.0 + dt)) * pg_2 ** 2 - 1e-12:
-                return finish(Status.NUMERICAL_ERROR, x, f, g)
-
-            stalled = stalled + 1 if not accepted and dt <= _DT_MIN else 0
-            if stalled >= _STALL_LIMIT:
-                return finish(Status.STALLED_TIME_STEP, x, f, g)
-            dt = update_dt(dt, rho)
-            if accepted:
-                break
-
-        if trial is None:
-            trial = gradients(x_trial)
-        g_trial, pg_trial = trial
-        if pg_trial is None:
-            return finish(Status.NUMERICAL_ERROR, x, f, g)
-        pair = CurvaturePair.from_step(s, pg_trial - pg)
-        x, f, g, pg = x_trial, f_trial, g_trial, pg_trial
-        if not float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol:
-            return finish(Status.NUMERICAL_ERROR, x, f, g)
+    # x, f and g are the start or the last accepted point; a failed
+    # feasibility check returns the accepted point that failed it.
+    finite_g = _finite(g)
+    lam = multipliers(proj, g) if finite_g else np.full(proj.m, np.nan)
+    kkt, feas = (residuals(problem.cs, x, g, lam) if finite_g and _finite(x)
+                 else (math.inf, math.inf))
+    return SolveResult(status=status, x_star=x, f_star=f, lambda_star=lam,
+                       kkt_inf=kkt, feas_inf=feas,
+                       steps=sum(1 for r in history if r.accepted),
+                       total_iters=len(history), n_f=len(history) + 1,
+                       n_g=n_g, history=history)

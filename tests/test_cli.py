@@ -125,6 +125,8 @@ def test_suite_bad_n_exit_one(capsys):
 
 def test_suite_unknown_only_exit_one(capsys):
     assert main(["suite", "--only", "ex1,exZ"]) == 1
+    assert main(["suite", "--only", ","]) == 1  # names no problem at all
+    assert capsys.readouterr().out == ""
 
 
 def test_suite_scale_and_n_conflict():
@@ -134,6 +136,15 @@ def test_suite_scale_and_n_conflict():
 def test_check_grad_pass(capsys):
     assert main(["check-grad", "--problem", "ex1", "--n", "12"]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_check_grad_over_no_point_exits_one(capsys, points):
+    # a check over no point checks nothing and must not report "ok"
+    assert main(["check-grad", "--problem", "ex1", "--n", "12",
+                 "--points", points]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: num_points must be positive" in err
 
 
 def test_check_grad_ex8_seeded(capsys):

@@ -209,6 +209,13 @@ def test_gradient_check_call_counts(pid):
     assert len(calls) == 2 * n * points
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_gradient_check_needs_a_point(points):
+    # over no point the worst error would read 0.0 and pass a check of nothing
+    with pytest.raises(ValueError, match=f"num_points must be positive, got {points}"):
+        gradient_check(build("ex1", 12), num_points=points)
+
+
 def _per_coordinate_errors(problem, num_points, seed):
     """The check one coordinate at a time over the whole objective."""
     proj = factor(problem.cs)

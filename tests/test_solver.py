@@ -167,8 +167,21 @@ def test_config_validation():
 
 # ------------------------------------------------------------------ solve
 
+def assert_consistent(result, problem):
+    """The counts, history and point of a result agree, however it ended."""
+    assert result.total_iters == len(result.history)
+    assert [rec.k for rec in result.history] == list(range(result.total_iters))
+    assert result.steps == sum(rec.accepted for rec in result.history)
+    assert result.n_f == result.total_iters + 1
+    assert result.lambda_star.shape == (problem.cs.m,)
+    f = problem.objective(result.x_star)
+    assert result.f_star == f or (math.isnan(result.f_star) and math.isnan(f))
+
+
 def test_solve_pair_quadratic_closed_form():
-    result = solve(build("ex1", 2))
+    problem = build("ex1", 2)
+    result = solve(problem)
+    assert_consistent(result, problem)
     assert result.status is Status.CONVERGED
     assert_allclose(result.x_star, [40.0 / 11.0, 4.0 / 11.0], atol=1e-6)
     assert abs(result.f_star - 160.0 / 11.0) < 1e-9 * (160.0 / 11.0)
@@ -251,7 +264,9 @@ def test_solve_deterministic_histories():
 
 
 def test_solve_iteration_cap():
-    result = solve(build("ex1", 40), SolverConfig(max_iter=2))
+    problem = build("ex1", 40)
+    result = solve(problem, SolverConfig(max_iter=2))
+    assert_consistent(result, problem)
     assert result.status is Status.MAX_ITERATIONS
     assert result.total_iters == 2
 
@@ -266,6 +281,7 @@ def test_solve_stalled_time_step(monkeypatch):
     base = distance_problem(rng)
     lying = dataclasses.replace(base, gradient=lambda x: -base.gradient(x))
     result = solve(lying, SolverConfig(max_iter=2000))
+    assert_consistent(result, lying)
     assert result.status is Status.STALLED_TIME_STEP
     assert result.steps == 0
 
@@ -284,7 +300,15 @@ def test_solve_numerical_error_on_bad_objective():
     base = distance_problem(rng)
     broken = dataclasses.replace(base, objective=lambda x: float("nan"))
     result = solve(broken)
+    assert_consistent(result, broken)
     assert result.status is Status.NUMERICAL_ERROR
+    # a non-finite gradient at the start gives no multipliers or residuals
+    broken = dataclasses.replace(base, gradient=lambda x: np.full(x.size, np.nan))
+    result = solve(broken)
+    assert_consistent(result, broken)
+    assert result.status is Status.NUMERICAL_ERROR and result.total_iters == 0
+    assert np.isnan(result.lambda_star).all()
+    assert result.kkt_inf == result.feas_inf == math.inf
 
 
 def test_solve_gradient_turning_nan_ends_at_last_finite_point():
@@ -298,7 +322,9 @@ def test_solve_gradient_turning_nan_ends_at_last_finite_point():
         g = base.gradient(x)
         return g if len(calls) < 2 else np.full_like(g, np.nan)
 
-    result = solve(dataclasses.replace(base, gradient=gradient))
+    problem = dataclasses.replace(base, gradient=gradient)
+    result = solve(problem)
+    assert_consistent(result, problem)
     x0 = make_feasible(factor(base.cs), base.x0)
     assert result.status is Status.NUMERICAL_ERROR
     assert result.steps == result.total_iters == 1 and result.n_g == 2
@@ -315,6 +341,7 @@ def test_solve_failed_invariants_end_with_numerical_error(monkeypatch):
         patch.setattr("eqflow.solver.project_gradient",
                       lambda p, g: np.asarray(g, dtype=float))
         result = solve(problem)
+    assert_consistent(result, problem)
     assert result.status is Status.NUMERICAL_ERROR
     assert result.steps == result.total_iters == 1
     assert result.feas_inf > 1e-9 * 5.0
@@ -322,6 +349,7 @@ def test_solve_failed_invariants_end_with_numerical_error(monkeypatch):
         # an ascent direction breaks the model-decrease bound
         patch.setattr("eqflow.solver.direction", lambda pg, pair: pg)
         result = solve(problem)
+    assert_consistent(result, problem)
     assert result.status is Status.NUMERICAL_ERROR
     assert result.total_iters == 1 and result.history[0].model_decrease < 0.0
 
