@@ -1,6 +1,5 @@
 """Continuation solver for minimization under linear equality constraints."""
 
-from .direction import CurvaturePair
 from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
                        GradientCheckReport, Problem, build, gradient_check,
                        known_optima)
@@ -16,7 +15,6 @@ __all__ = [
     "ConstraintSystem", "CSRMatrix", "Projector", "factor", "project_gradient",
     "make_feasible", "multipliers", "residuals",
     "DimensionMismatchError", "NonFiniteError", "RankDeficientError",
-    "CurvaturePair",
     "SolverConfig", "SolveResult", "IterationRecord", "Status", "solve",
     "Problem", "build", "gradient_check", "known_optima",
     "BadDimensionError", "GradientCheckReport",

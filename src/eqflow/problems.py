@@ -287,9 +287,8 @@ def gradient_check(problem: Problem, num_points: int = 10,
     one to count the blocks); a problem without it is one block of width n
     and costs 2n objective calls per point, one difference per coordinate.
     A block's difference is also more accurate than one of the whole sum,
-    which carries the rounding error of all n/w blocks. The two perturbed
-    points are reused from call to call, so a callback must not keep its
-    argument. A ``num_points`` below 1 raises ValueError.
+    which carries the rounding error of all n/w blocks. A ``num_points``
+    below 1 raises ValueError.
     """
     if num_points < 1:
         raise ValueError(f"num_points must be positive, got {num_points}")
@@ -309,13 +308,12 @@ def gradient_check(problem: Problem, num_points: int = 10,
             x = base + project_gradient(proj, rng.normal(scale=0.25, size=n))
         g = np.asarray(problem.gradient(x), dtype=float)
         h = 1e-6 * (1.0 + np.abs(x))
-        plus, minus = x + h, x - h
-        up, down = x.copy(), x.copy()
         fd = np.empty(n)
         for i in range(w):
-            up[i::w], down[i::w] = plus[i::w], minus[i::w]
+            up, down = x.copy(), x.copy()
+            up[i::w] += h[i::w]
+            down[i::w] -= h[i::w]
             fd[i::w] = values(up) - values(down)
-            up[i::w] = down[i::w] = x[i::w]
         fd /= 2.0 * h
         err = np.abs(fd - g) / (1.0 + np.abs(g))
         worst = np.maximum(worst, err)

@@ -181,9 +181,11 @@ def solve(problem, config: Optional[SolverConfig] = None,
     Returns
     -------
     SolveResult
-        Final iterate, objective, multipliers, residuals, counters and the
-        per-iteration history. ``status`` is CONVERGED exactly when
-        ``||pg||_inf <= config.eps`` was reached.
+        The last adopted point (the projected start or an accepted step),
+        its objective, multipliers, residuals, the counters and the history.
+        An adopted point with a non-finite f or gradient, or off Ax = b by
+        more than ``1e-9 * (1 + ||b||_inf)``, ends NUMERICAL_ERROR. ``status``
+        is CONVERGED exactly when ``||pg||_inf <= config.eps`` was reached.
     """
     cfg = config if config is not None else SolverConfig()
     cfg.validate()
@@ -207,15 +209,19 @@ def solve(problem, config: Optional[SolverConfig] = None,
     g, pg = gradients(x)
 
     history: List[IterationRecord] = []
-    status = None if math.isfinite(f) and pg is not None else Status.NUMERICAL_ERROR
+    status = None
     pair: Optional[CurvaturePair] = None
     d = None
     dt, stalled = cfg.dt0, 0
 
     while status is None:
         if d is None:
-            # Once per accepted point: a rejected trial leaves x, g and pg as
-            # they are, so the test, the norms and d carry over to the next trial.
+            # Once per adopted point (the start or an accepted step): a rejected
+            # trial keeps x, g and pg, so the checks, the norms and d carry over.
+            if not (math.isfinite(f) and pg is not None
+                    and float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol):
+                status = Status.NUMERICAL_ERROR
+                continue
             pg_inf = float(np.max(np.abs(pg)))
             if pg_inf <= cfg.eps:
                 status = Status.CONVERGED
@@ -253,12 +259,9 @@ def solve(problem, config: Optional[SolverConfig] = None,
             else:
                 pair = CurvaturePair.from_step(s, pg_trial - pg)
                 x, f, g, pg, d = x_trial, f_trial, g_trial, pg_trial, None
-                if not float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol:
-                    status = Status.NUMERICAL_ERROR
         dt = update_dt(dt, rho)
 
-    # x, f and g are the start or the last accepted point; a failed
-    # feasibility check returns the accepted point that failed it.
+    # x, f and g are the last adopted point: the start or an accepted step.
     finite_g = _finite(g)
     lam = multipliers(proj, g) if finite_g else np.full(proj.m, np.nan)
     kkt, feas = (residuals(problem.cs, x, g, lam) if finite_g and _finite(x)

@@ -182,8 +182,9 @@ def test_gradient_check_flags_one_wrong_coordinate(pid):
 
 
 def _counted(fn, calls):
+    """fn, appending each argument it gets to calls."""
     def counted(x):
-        calls.append(1)
+        calls.append(x)
         return fn(x)
     return counted
 
@@ -207,6 +208,23 @@ def test_gradient_check_call_counts(pid):
                                        block_values=None),
                    num_points=points)
     assert len(calls) == 2 * n * points
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_gradient_check_evaluations_may_keep_their_points(pid):
+    # each evaluation gets its own point: one kept by the callee still
+    # differs from the checked point in one coordinate of every block
+    p = build(pid, 24)
+    width = _TABLE[pid].width
+    checked, kept = [], []
+    gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, checked),
+                                       block_values=_counted(p.block_values, kept)),
+                   num_points=3)
+    assert len(checked) == 3 and len(kept) == 1 + 2 * width * 3
+    for j, x in enumerate(checked):
+        for point in kept[1 + 2 * width * j:1 + 2 * width * (j + 1)]:
+            moved = (point != x).reshape(-1, width).sum(axis=1)
+            assert np.all(moved == 1)
 
 
 @pytest.mark.parametrize("points", [0, -3])

@@ -354,6 +354,22 @@ def test_solve_failed_invariants_end_with_numerical_error(monkeypatch):
     assert result.total_iters == 1 and result.history[0].model_decrease < 0.0
 
 
+@pytest.mark.parametrize("flat,scale", [(True, 1e12), (False, 1e9)])
+def test_solve_infeasible_start_ends_before_the_first_trial(flat, scale):
+    # x0 so large that its projection misses Ax = b by more than rounding:
+    # the start is checked like every accepted point, before any trial
+    problem = build("ex3", 12)
+    problem = dataclasses.replace(problem, x0=scale * (problem.x0 + 1.0))
+    if flat:
+        problem = dataclasses.replace(problem, objective=lambda x: 0.0,
+                                      gradient=np.zeros_like)
+    result = solve(problem)
+    assert_consistent(result, problem)
+    assert result.status is Status.NUMERICAL_ERROR
+    assert result.total_iters == 0 and result.n_f == result.n_g == 1
+    assert result.feas_inf > 1e-9 * (1.0 + float(np.max(np.abs(problem.cs.b))))
+
+
 def test_invariant_checks_survive_python_O():
     # the checks are plain ifs, not asserts, so python -O keeps them
     code = ("import eqflow, eqflow.solver\n"
