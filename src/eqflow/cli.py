@@ -14,15 +14,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
-                       build, gradient_check, known_optima)
+from .problems import (DESK_DIM, GRAD_TOL, PAPER_DIMS, PROBLEM_IDS,
+                       BadDimensionError, build, gradient_check, known_optima)
 from .solver import IterationRecord, SolverConfig, Status, solve
 
 SUITE_COLUMNS = ("problem", "n", "m", "accepted_steps", "total_iters", "n_f",
                  "n_g", "f_star", "kkt_inf", "feas_inf", "status")
 HISTORY_COLUMNS = IterationRecord._fields
-
-GRAD_TOL = 1e-5
 
 
 def _fmt(x: float) -> str:

@@ -13,12 +13,14 @@ square-and-multiply rather than numpy's ``**``, whose integer exponents
 above 2 on a negative base take libm's slow ``pow``: exact for exponents
 1 and 2, a few ulps from ``pow`` above.  The check reads the per-block
 values (``Problem.block_values``): it moves one coordinate of every block
-at once, so a point costs 2·width block evaluations instead of 2n
-objective calls, and each difference carries the rounding error of one
-block, not of the whole sum.  Constraint matrices are assembled sparse
-(CSR), and the projection layer factors their blocks one component at a
-time.  ``ex1`` and ``ex3`` have closed-form optima; the other problems
-carry reference objective values at their benchmark sizes.
+at once, and each difference carries the rounding error of one block, not
+of the whole sum.  It evaluates a stack of check points per call (as many
+as fit 4096 float64 entries, 32 KiB; one point from n = 4096 up), so a
+stack costs 2·width block evaluations instead of 2n objective calls per
+point.  Constraint matrices are assembled sparse (CSR), and the
+projection layer factors their blocks one component at a time.  ``ex1``
+and ``ex3`` have closed-form optima; the other problems carry reference
+objective values at their benchmark sizes.
 """
 
 import math
@@ -46,8 +48,11 @@ class Problem:
     ``block_values``, when set, splits the objective into blocks of w
     consecutive variables, for some w that divides n: ``block_values(x)``
     has length n/w, its entry k depends on ``x[k*w:(k+1)*w]`` alone, and
-    ``objective(x)`` is a constant plus its sum. ``build`` sets it; a
-    problem without it is one block of width n to ``gradient_check``.
+    ``objective(x)`` is a constant plus its sum. It also takes a stack of
+    points, an ``(..., n)`` array, and maps it to ``(..., n/w)``, each row
+    bit for bit that of its point alone: ``gradient_check`` passes
+    ``(rows, n)`` stacks. ``build`` sets it; a problem without it is one
+    block of width n to ``gradient_check``.
     """
 
     name: str
@@ -148,7 +153,7 @@ def _sum(monomials, y):
 
 def _evaluator(spec):
     """Objective, gradient and per-block values of a table entry, vectorized
-    over the blocks.
+    over the blocks; ``block_values`` also over a stack of points.
 
     The gradient is derived by one rule: d/dx_k of ``c * x_k ** e * r`` is
     ``(c * e) * x_k ** (e - 1) * r``. ``block_values`` returns the objective
@@ -162,13 +167,16 @@ def _evaluator(spec):
                 for c, e in spec.terms if e[k]] for k in range(w)]
 
     def columns(x):
-        y = [x[k::w] for k in range(w)]
+        # a stack of points, flattened, holds entry k of every block of
+        # every point at [k::w], since w divides n
+        flat = x.reshape(-1)
+        y = [flat[k::w] for k in range(w)]
         for k, s in shifted:
             y[k] = y[k] - s
         return y
 
     def block_values(x):
-        return _sum(terms, columns(x))
+        return _sum(terms, columns(x)).reshape(x.shape[:-1] + (-1,))
 
     def objective(x):
         f = float(block_values(x).sum())
@@ -262,6 +270,13 @@ def build(problem_id: str, n: int) -> Problem:
                    block_values=block_values)
 
 
+GRAD_TOL = 1e-5  # the largest relative error a gradient check passes
+
+# float64 entries in one stack of check points (32 KiB); from n = _STACK up
+# a stack holds one point
+_STACK = 1 << 12
+
+
 @dataclass(frozen=True)
 class GradientCheckReport:
     name: str
@@ -271,6 +286,23 @@ class GradientCheckReport:
     coord_errors: np.ndarray  # worst guarded relative error per coordinate
 
 
+def _stack_values(problem, stack, blocks):
+    """``problem.block_values`` of a stack of points, checked to have one
+    row of ``blocks`` values per point; ``blocks=None`` accepts any count
+    that divides n (the first call, which counts the blocks)."""
+    values = problem.block_values(stack)
+    shape = np.shape(values)
+    rows, n = stack.shape
+    if blocks is None and len(shape) == 2 and shape[1] and n % shape[1] == 0:
+        blocks = shape[1]
+    if shape != (rows, blocks):
+        expected = (f"({rows}, {blocks})" if blocks else
+                    f"({rows}, n/w) for a block width w that divides n = {n}")
+        raise ValueError(f"{problem.name}: block_values of a {stack.shape} "
+                         f"stack of points has shape {shape}, expected {expected}")
+    return values
+
+
 def gradient_check(problem: Problem, num_points: int = 10,
                    seed: int = 0) -> GradientCheckReport:
     """Compare the analytic gradient against central differences.
@@ -278,17 +310,26 @@ def gradient_check(problem: Problem, num_points: int = 10,
     Checks at the projected start point plus ``num_points - 1`` feasible
     perturbations of it (random directions projected onto the constraint
     null space). The per-coordinate step is ``h_i = 1e-6 * (1 + |x_i|)``
-    and the error metric is ``|fd - g| / (1 + |g|)``.
+    and the error metric is ``|fd - g| / (1 + |g|)``; the check passes
+    when the worst error is at most ``GRAD_TOL``.
 
     The differences are grouped by block (Curtis, Powell & Reid, 1974):
     coordinate i of every block of width w moves at once, and each block's
-    own value gives that block's difference. A table problem, with
-    ``problem.block_values``, costs 2w block evaluations per point (plus
-    one to count the blocks); a problem without it is one block of width n
-    and costs 2n objective calls per point, one difference per coordinate.
-    A block's difference is also more accurate than one of the whole sum,
-    which carries the rounding error of all n/w blocks. A ``num_points``
-    below 1 raises ValueError.
+    own value gives that block's difference. A block's difference is also
+    more accurate than one of the whole sum, which carries the rounding
+    error of all n/w blocks.
+
+    The points are checked in stacks of ``max(1, _STACK // n)``. Below
+    n = 4096 each array of a stack (the points, their gradients and steps,
+    each moved copy) holds at most 32 KiB; from n = 4096 up a stack is one
+    point, and the working set is that of a check point by point. With
+    ``problem.block_values`` a stack costs 2w calls, each on a whole
+    ``(rows, n)`` stack, plus one call on the first stack to count the
+    blocks; a result that is not one row of n/w values per point raises
+    ValueError. A problem without it is one block of width n and costs 2n
+    objective calls per point, one difference per coordinate. Each point
+    is still made, projected and given its gradient on its own. A
+    ``num_points`` below 1 raises ValueError.
     """
     if num_points < 1:
         raise ValueError(f"num_points must be positive, got {num_points}")
@@ -296,27 +337,41 @@ def gradient_check(problem: Problem, num_points: int = 10,
     base = make_feasible(proj, problem.x0)
     rng = np.random.default_rng(seed)
     n = problem.n
-    if problem.block_values is None:  # the whole objective is one block
-        values, w = problem.objective, n
-    else:
-        values = problem.block_values
-        w = n // len(values(base))
+    rows = max(1, _STACK // n)
+    w = n if problem.block_values is None else None
     worst = np.zeros(n)
-    for j in range(num_points):
-        x = base
-        if j > 0:
-            x = base + project_gradient(proj, rng.normal(scale=0.25, size=n))
-        g = np.asarray(problem.gradient(x), dtype=float)
+    for start in range(0, num_points, rows):
+        stack = (min(rows, num_points - start), n)
+        x, g = np.empty(stack), np.empty(stack)
+        for r in range(stack[0]):
+            if start + r == 0:
+                x[r] = base
+            else:
+                np.add(base, project_gradient(proj, rng.normal(scale=0.25, size=n)),
+                       out=x[r])
+            g[r] = problem.gradient(x[r])
+        if w is None:
+            w = n // _stack_values(problem, x, None).shape[1]
+        # flattened, the stack holds entry i of every block of every point
+        # at x[i::w], since w divides n
+        x, g = x.reshape(-1), g.reshape(-1)
         h = 1e-6 * (1.0 + np.abs(x))
-        fd = np.empty(n)
+        fd = np.empty_like(x)
         for i in range(w):
             up, down = x.copy(), x.copy()
             up[i::w] += h[i::w]
             down[i::w] -= h[i::w]
-            fd[i::w] = values(up) - values(down)
+            up, down = up.reshape(stack), down.reshape(stack)
+            if problem.block_values is None:  # the whole objective, point by point
+                fd[i::w] = [problem.objective(u) - problem.objective(d)
+                            for u, d in zip(up, down)]
+            else:
+                fd[i::w] = (_stack_values(problem, up, n // w)
+                            - _stack_values(problem, down, n // w)).reshape(-1)
         fd /= 2.0 * h
         err = np.abs(fd - g) / (1.0 + np.abs(g))
-        worst = np.maximum(worst, err)
+        for e in err.reshape(stack):
+            np.maximum(worst, e, out=worst)
     return GradientCheckReport(name=problem.name, n=n, num_points=num_points,
                                max_rel_error=float(worst.max()),
                                coord_errors=worst)

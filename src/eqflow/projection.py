@@ -203,12 +203,15 @@ class BlockGroup:
     def coefficients(self, v) -> np.ndarray:
         """Row-space coordinates q^T v of each block, shape (k, r).
 
-        Keep this contraction as it is. ex8's paper-scale solve lands in its
-        global basin only with einsum's summation order here: summed as
-        ``matmul`` or ``.sum(axis=1)`` (or sequentially, or reversed) the
-        coordinates differ in the last bits, and block 0 at n = 4800 ends
-        in the local basin (f* = -12116.39 after 200-odd iterations), which
-        fails the acceptance gate.
+        The summation order over c is einsum's own, and the solve's bits
+        hang on it. For ex8 at n = 4800 (k = 1600, c = 3, r = 1), with the
+        products p_j = q[:, j, 0] * v[cols[:, j]], the coordinates equal
+        ``(p0 + p2) + p1`` in all 204 800 entries of the solve's 128 calls
+        and a left-to-right sum in 153 600 (numpy 2.4.6, x86-64). Summed
+        another way (``matmul``, ``.sum(axis=1)``, sequentially, reversed)
+        block 0 of that solve ended in the local basin (f* = -12116.39), so
+        the ex8 result rests on an order numpy does not promise. ROADMAP.md
+        item 1 replaces it with a stated order; until then keep the einsum.
         """
         return np.einsum("kcr,kc->kr", self.q, v[self.cols])
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from eqflow import (BadDimensionError, ConstraintSystem, NonFiniteError,
-                    PAPER_DIMS, PROBLEM_IDS, Problem, build, factor,
-                    gradient_check, known_optima, make_feasible,
+from eqflow import (DESK_DIM, BadDimensionError, ConstraintSystem,
+                    NonFiniteError, PAPER_DIMS, PROBLEM_IDS, Problem, build,
+                    factor, gradient_check, known_optima, make_feasible,
                     project_gradient, solve)
 from eqflow.problems import _EVALUATORS, _TABLE, _Spec, _evaluator, _power
-from oracles import ex8_block_minimum
+from oracles import ex8_block_minimum, grouped_check_errors
 
 FEASIBLE_STARTS = ("ex1", "ex5", "ex9", "ex10")
 INFEASIBLE_STARTS = ("ex2", "ex3", "ex4", "ex6", "ex7", "ex8")
@@ -161,6 +161,18 @@ def test_objective_is_const_plus_block_values(pid):
         assert p.objective(x) == _TABLE[pid].const + values.sum()
 
 
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_block_values_of_a_stack_are_those_of_its_rows(pid):
+    # the check evaluates stacks; the solver and the objective, single points
+    p = build(pid, 24)
+    rng = np.random.default_rng(47)
+    stack = np.vstack([p.x0, rng.uniform(-2.0, 2.0, size=(4, 24))])
+    values = p.block_values(stack)
+    assert values.shape == (5, 24 // _TABLE[pid].width)
+    for row, x in zip(values, stack):
+        assert row.tobytes() == p.block_values(x).tobytes()
+
+
 def _with_wrong_coordinate(p, k):
     """p with its gradient off by 1% (guarded) in coordinate k alone."""
     def gradient(x):
@@ -201,30 +213,76 @@ def test_gradient_check_call_counts(pid):
     gradient_check(dataclasses.replace(p, objective=_no_objective,
                                        block_values=_counted(p.block_values, calls)),
                    num_points=points)
-    # 2 per block column and point, plus one to count the blocks
-    assert len(calls) == 1 + 2 * _TABLE[pid].width * points
+    # the three points make one stack: 2 calls per block column, plus one
+    # to count the blocks, each on the whole stack
+    assert len(calls) == 1 + 2 * _TABLE[pid].width
+    assert all(stack.shape == (points, n) for stack in calls)
     calls.clear()
     gradient_check(dataclasses.replace(p, objective=_counted(p.objective, calls),
                                        block_values=None),
                    num_points=points)
     assert len(calls) == 2 * n * points
+    assert all(x.shape == (n,) for x in calls)
 
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_gradient_check_evaluations_may_keep_their_points(pid):
-    # each evaluation gets its own point: one kept by the callee still
-    # differs from the checked point in one coordinate of every block
+    # each evaluation gets its own stack: one kept by the callee still
+    # differs from the checked points in one coordinate of every block
     p = build(pid, 24)
     width = _TABLE[pid].width
     checked, kept = [], []
     gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, checked),
                                        block_values=_counted(p.block_values, kept)),
                    num_points=3)
-    assert len(checked) == 3 and len(kept) == 1 + 2 * width * 3
-    for j, x in enumerate(checked):
-        for point in kept[1 + 2 * width * j:1 + 2 * width * (j + 1)]:
-            moved = (point != x).reshape(-1, width).sum(axis=1)
-            assert np.all(moved == 1)
+    assert len(checked) == 3 and len(kept) == 1 + 2 * width
+    assert np.array_equal(kept[0], checked)  # the call that counts the blocks
+    for stack in kept[1:]:
+        moved = (stack != np.array(checked)).reshape(3, -1, width).sum(axis=2)
+        assert np.all(moved == 1)
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gradient_check_matches_the_per_point_check(pid, seed):
+    # stacks of 10 points (n = 120), of 3 with a last of 1 (n = 1200) and
+    # of 1 (paper size) give the per-point report bit for bit
+    for n in (DESK_DIM, 1200, PAPER_DIMS[pid]):
+        p = build(pid, n)
+        report = gradient_check(p, seed=seed)
+        expected = grouped_check_errors(p, 10, seed)
+        assert report.coord_errors.tobytes() == expected.tobytes()
+        assert report.max_rel_error == expected.max()
+
+
+def _shrinking_after_first_call(block_values):
+    """block_values with its first call intact and half the blocks after."""
+    calls = []
+
+    def values(x):
+        calls.append(None)
+        v = block_values(x)
+        return v if len(calls) == 1 else v[:, :v.shape[1] // 2]
+    return values
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda bv: lambda x: bv(x[0]), r"\(12,\), expected \(3, n/w\)"),
+    (lambda bv: lambda x: bv(x).ravel(), r"\(36,\), expected \(3, n/w\)"),
+    (lambda bv: lambda x: bv(x)[:, :5],
+     r"\(3, 5\), expected \(3, n/w\) for a block width w that divides n = 24"),
+    (lambda bv: lambda x: bv(x)[:, :0], r"\(3, 0\), expected \(3, n/w\)"),
+    (_shrinking_after_first_call, r"\(3, 6\), expected \(3, 12\)"),
+], ids=["one-point", "flattened", "count-not-dividing-n", "no-blocks",
+        "count-changes"])
+def test_gradient_check_names_a_block_values_blind_to_stacks(make, expected):
+    # a block_values that does not give one row of n/w values per point of
+    # the stack is named, not left to fail as a broadcast
+    p = build("ex1", 24)
+    bad = dataclasses.replace(p, block_values=make(p.block_values))
+    with pytest.raises(ValueError, match=r"^ex1: block_values of a \(3, 24\) stack "
+                                         r"of points has shape " + expected):
+        gradient_check(bad, num_points=3)
 
 
 @pytest.mark.parametrize("points", [0, -3])

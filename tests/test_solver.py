@@ -552,3 +552,16 @@ def test_solve_converges_on_bounded_block_problems(case):
     for rec in result.history:  # criterion 7
         bound = rec.dt / (4.0 * (1.0 + rec.dt)) * rec.pg_2 ** 2
         assert rec.model_decrease >= bound - 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(bounded_block_problems(), st.integers(1, 5))
+def test_block_values_of_a_stack_are_those_of_its_rows(case, rows):
+    # gradient_check evaluates stacks of points, solve single points
+    problem, _ = case
+    rng = np.random.default_rng(rows)
+    stack = np.vstack([problem.x0, rng.uniform(-2.0, 2.0, size=(rows, problem.n))])
+    values = problem.block_values(stack)
+    assert values.shape == (rows + 1, len(problem.block_values(problem.x0)))
+    for row, x in zip(values, stack):
+        assert row.tobytes() == problem.block_values(x).tobytes()
