@@ -5,6 +5,11 @@ from the most recent accepted step ``s`` and projected-gradient difference
 ``y``.  H is never stored: the search direction -H @ pg is assembled from
 three inner products with the cached pair scalars.  Every eigenvalue of H
 exceeds 1/2, so -H @ pg is always a descent direction for pg.
+
+The direction is assembled in place in two length-n buffers, with the
+operations of ``-pg + (y*s_pg + s*y_pg)/c - (2*y_sq*s_pg/c**2)*s`` in
+that order; each rounds as in the expression (``a - pg`` equals
+``-pg + a`` bit for bit), so the bits are those of the expression.
 """
 
 from dataclasses import dataclass
@@ -49,14 +54,20 @@ def curvature_gate(pair: Optional[CurvaturePair]) -> bool:
 
 
 def direction(pg, pair: Optional[CurvaturePair]) -> np.ndarray:
-    """Return d = -H @ pg for the gated rank-two H (identity if gate fails)."""
+    """Return d = -H @ pg for the gated rank-two H (identity if gate fails),
+    assembled in place as the module docstring says."""
     if not curvature_gate(pair):
         return -np.asarray(pg, dtype=float)
     pg = _vector(pg, pair.s.size, "projected gradient")
     c = pair.s_dot_y
     s_pg = float(pair.s @ pg)
     y_pg = float(pair.y @ pg)
-    return (-pg
-            + (pair.y * s_pg + pair.s * y_pg) / c
-            - (2.0 * pair.y_sq * s_pg / c**2) * pair.s)
+    d = pair.y * s_pg
+    t = pair.s * y_pg
+    d += t
+    d /= c
+    d -= pg
+    np.multiply(pair.s, 2.0 * pair.y_sq * s_pg / c**2, out=t)
+    d -= t
+    return d
 

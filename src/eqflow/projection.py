@@ -17,7 +17,7 @@ so the package imports no scipy.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -128,6 +128,11 @@ class CSRMatrix:
         return out
 
     def __array__(self, dtype=None, copy=None):
+        """A new dense array; ``copy=False`` raises ValueError, since no
+        dense array exists to share."""
+        if copy is False:
+            raise ValueError("a CSRMatrix has no dense array to return "
+                             "without a copy; use toarray()")
         return self.toarray() if dtype is None else self.toarray().astype(dtype)
 
 
@@ -152,7 +157,10 @@ class ConstraintSystem:
     ``A`` may be given as a dense array, as anything with ``tocsr()`` (every
     scipy.sparse format) or as a :class:`CSRMatrix`; it is converted once,
     and ``cs.A`` is then that :class:`CSRMatrix`, with duplicate entries
-    summed and explicitly stored zeros kept. The caller's matrix is never
+    summed and explicitly stored zeros kept. ``cs.b`` is a float copy of
+    ``b``, so later changes to the caller's vector do not reach the system;
+    nor do changes to a dense or scipy ``A``, which the conversion copies
+    (a :class:`CSRMatrix` is kept as given). The caller's arrays are never
     changed. A NaN or infinite entry of ``A`` (a stored one, if sparse) or
     of ``b`` raises :class:`NonFiniteError` naming it. Full row rank is
     checked by :func:`factor`, not here.
@@ -168,7 +176,7 @@ class ConstraintSystem:
             raise DimensionMismatchError(
                 f"constraint matrix must satisfy 1 <= m < n, n >= 2, got m={m} n={n}"
             )
-        b = _vector(np.ravel(self.b), m, "right-hand side")
+        b = _vector(np.ravel(self.b), m, "right-hand side").copy()
         _require_finite(A.data, lambda k: "constraint matrix entry "
                         f"A[{A.rows[k]}, {A.indices[k]}]")
         _require_finite(b, lambda i: f"right-hand side entry b[{i}]")
@@ -192,16 +200,25 @@ class BlockGroup:
     ``cols[i]`` (c of them). Its block of A^T factors as
     ``q[i] @ r[i]`` with ``q[i]`` (c, r) orthonormal and ``r[i]`` (r, r)
     upper triangular, and ``b_r[i]`` solves ``r[i]^T b_r[i] = b[rows[i]]``.
+
+    ``at`` indexes the group's variables in a length-n vector, in the order
+    of ``cols.ravel()``. It is ``slice(lo, lo + k * c)`` when those columns
+    are one increasing run, as in every benchmark problem, and the
+    flattened ``cols`` otherwise. A slice makes ``v[at]`` and ``out[at] -=``
+    views of the vector instead of a gather and a scatter, and gives the
+    same values.
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    at: Union[slice, np.ndarray]
     q: np.ndarray
     r: np.ndarray
     b_r: np.ndarray
 
     def coefficients(self, v) -> np.ndarray:
-        """Row-space coordinates q^T v of each block, shape (k, r).
+        """Row-space coordinates q^T v of each block, shape (k, r), from the
+        group's entries ``v[at]``.
 
         The summation order over c is einsum's own, and the solve's bits
         hang on it. For ex8 at n = 4800 (k = 1600, c = 3, r = 1), with the
@@ -213,7 +230,7 @@ class BlockGroup:
         the ex8 result rests on an order numpy does not promise. ROADMAP.md
         item 1 replaces it with a stated order; until then keep the einsum.
         """
-        return np.einsum("kcr,kc->kr", self.q, v[self.cols])
+        return np.einsum("kcr,kc->kr", self.q, v[self.at].reshape(self.cols.shape))
 
     def expand(self, t) -> np.ndarray:
         """Map block coordinates t (k, r) back to variables: q @ t, (k, c)."""
@@ -333,15 +350,18 @@ def factor(cs: ConstraintSystem) -> Projector:
     for g, (key, k) in enumerate(zip(shapes.tolist(), sizes.tolist())):
         r, c = divmod(key, n + 1)
         rows = row_order[row_end:row_end + k * r].reshape(k, r)
-        cols = col_order[col_end:col_end + k * c].reshape(k, c)
+        at = col_order[col_end:col_end + k * c]
+        cols = at.reshape(k, c)
+        if (at[1:] - at[:-1] == 1).all():
+            at = slice(int(at[0]), int(at[-1]) + 1)
         row_end, col_end = row_end + k * r, col_end + k * c
         row_slot[rows] = np.arange(k)[:, None]
         row_rank[rows] = np.arange(r)
         col_rank[cols] = np.arange(c)
         nz = nz_order[nz_start[g]:nz_start[g + 1]]
-        at = np.zeros((k, c, r))
-        at[row_slot[nz_rows[nz]], col_rank[nz_cols[nz]], row_rank[nz_rows[nz]]] = a.data[nz]
-        q, rr = np.linalg.qr(at)
+        blocks = np.zeros((k, c, r))
+        blocks[row_slot[nz_rows[nz]], col_rank[nz_cols[nz]], row_rank[nz_rows[nz]]] = a.data[nz]
+        q, rr = np.linalg.qr(blocks)
         diag = np.abs(np.diagonal(rr, axis1=1, axis2=2))
         bad = np.flatnonzero(diag.min(axis=1) <= rank_tol * diag.max(axis=1))
         if bad.size:
@@ -351,7 +371,7 @@ def factor(cs: ConstraintSystem) -> Projector:
                 f"{diag[bad[0]].min():.3e}"
             )
         b_r = np.linalg.solve(rr.transpose(0, 2, 1), cs.b[rows][..., None])[..., 0]
-        groups.append(BlockGroup(rows=rows, cols=cols, q=q, r=rr, b_r=b_r))
+        groups.append(BlockGroup(rows=rows, cols=cols, at=at, q=q, r=rr, b_r=b_r))
     return Projector(n=n, m=m, groups=tuple(groups))
 
 
@@ -361,7 +381,7 @@ def _to_null_space(p: Projector, v, shifted: bool) -> np.ndarray:
     out = v.copy()
     for grp in p.groups:
         coef = grp.coefficients(v)
-        out[grp.cols] -= grp.expand(coef - grp.b_r if shifted else coef)
+        out[grp.at] -= grp.expand(coef - grp.b_r if shifted else coef).reshape(-1)
     return out
 
 

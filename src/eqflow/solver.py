@@ -157,7 +157,7 @@ def update_dt(dt: float, rho: float) -> float:
 
 
 def _finite(value) -> bool:
-    return bool(np.all(np.isfinite(value)))
+    return bool(np.isfinite(value).all())
 
 
 def solve(problem, config: Optional[SolverConfig] = None,
@@ -219,14 +219,14 @@ def solve(problem, config: Optional[SolverConfig] = None,
             # Once per adopted point (the start or an accepted step): a rejected
             # trial keeps x, g and pg, so the checks, the norms and d carry over.
             if not (math.isfinite(f) and pg is not None
-                    and float(np.max(np.abs(problem.cs.A @ x - b))) <= feas_tol):
+                    and float(np.abs(problem.cs.A @ x - b).max()) <= feas_tol):
                 status = Status.NUMERICAL_ERROR
                 continue
-            pg_inf = float(np.max(np.abs(pg)))
+            pg_inf = float(np.abs(pg).max())
             if pg_inf <= cfg.eps:
                 status = Status.CONVERGED
                 continue
-            pg_2 = float(np.linalg.norm(pg))
+            pg_2 = math.sqrt(float(pg @ pg))  # np.linalg.norm's own formula
             d = direction(pg, pair)
         if len(history) >= cfg.max_iter:
             status = Status.MAX_ITERATIONS

@@ -19,6 +19,36 @@ def dense_h(pair: Optional[CurvaturePair], n: int) -> np.ndarray:
             + (2.0 * pair.y_sq / c**2) * np.outer(s, s))
 
 
+def gathered_to_null_space(p, v, shifted: bool) -> np.ndarray:
+    """v - Q (Q^T v - t) with each group's entries gathered as ``v[cols]``
+    and written back by ``out[cols] -=``, the index form of what
+    ``project_gradient`` (t = 0) and ``make_feasible`` (t = b_r) compute."""
+    out = v.copy()
+    for grp in p.groups:
+        coef = np.einsum("kcr,kc->kr", grp.q, v[grp.cols])
+        out[grp.cols] -= grp.expand(coef - grp.b_r if shifted else coef)
+    return out
+
+
+def gathered_multipliers(p, g) -> np.ndarray:
+    """``multipliers`` with each group's entries gathered as ``g[cols]``."""
+    lam = np.empty(p.m)
+    for grp in p.groups:
+        coef = np.einsum("kcr,kc->kr", grp.q, g[grp.cols])
+        lam[grp.rows] = -np.linalg.solve(grp.r, coef[..., None])[..., 0]
+    return lam
+
+
+def direction_expression(pg, pair: CurvaturePair) -> np.ndarray:
+    """-H @ pg for a gated pair as one expression of whole arrays."""
+    c = pair.s_dot_y
+    s_pg = float(pair.s @ pg)
+    y_pg = float(pair.y @ pg)
+    return (-pg
+            + (pair.y * s_pg + pair.s * y_pg) / c
+            - (2.0 * pair.y_sq * s_pg / c**2) * pair.s)
+
+
 def ex8_block_minimum() -> float:
     """Global minimum of one ex8 block by a dense multi-start search.
 

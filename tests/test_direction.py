@@ -4,12 +4,14 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import eqflow
 from eqflow import DimensionMismatchError
 from eqflow.direction import CurvaturePair, curvature_gate, direction
-from oracles import dense_h
+from oracles import dense_h, direction_expression
 
 
 def gated_pair(rng, n):
@@ -92,6 +94,32 @@ def test_direction_matches_dense_oracle():
         d = direction(pg, pair)
         oracle = -dense_h(pair, n) @ pg
         assert np.linalg.norm(d - oracle) <= 1e-12 * max(np.linalg.norm(d), 1e-30)
+
+
+@st.composite
+def gated_pairs(draw):
+    """A projected gradient and a gated pair, each vector scaled by 1e±8."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pg, s, y = (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+                for _ in range(3))
+    pair = CurvaturePair.from_step(s, y)
+    assume(curvature_gate(pair))
+    return pg, pair
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(gated_pairs())
+def test_direction_bytes_match_the_expression(case):
+    # built in place, d must still round as the whole-array expression does,
+    # and must neither change nor share its inputs
+    pg, pair = case
+    inputs = (pg, pair.s, pair.y)
+    before = [v.tobytes() for v in inputs]
+    d = direction(pg, pair)
+    assert d.tobytes() == direction_expression(pg, pair).tobytes()
+    assert [v.tobytes() for v in inputs] == before
+    assert not any(np.shares_memory(d, v) for v in inputs)
 
 
 def test_descent_margin():

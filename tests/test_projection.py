@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse.csgraph import connected_components
 
-from eqflow import (ConstraintSystem, CSRMatrix, DimensionMismatchError,
-                    NonFiniteError, RankDeficientError, build, factor,
-                    make_feasible, multipliers, project_gradient, residuals)
+from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, ConstraintSystem,
+                    CSRMatrix, DimensionMismatchError, NonFiniteError,
+                    RankDeficientError, build, factor, make_feasible,
+                    multipliers, project_gradient, residuals)
 from eqflow.projection import _RANK_GATE, _column_components
+from oracles import gathered_multipliers, gathered_to_null_space
 
 
 def dense_projection(A):
@@ -287,7 +289,25 @@ def test_constraint_system_non_finite_entries():
     assert issubclass(NonFiniteError, ValueError)
 
 
+def test_constraint_system_copies_b():
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 2.0])
+    cs = ConstraintSystem(A=A, b=b)
+    A[0, 0] = b[0] = 100.0
+    assert_array_equal(cs.b, [1.0, 2.0])
+    assert_array_equal(cs.A.toarray(), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+
+
 # -------------------------------------------------------------- CSRMatrix
+
+def test_csr_array_protocol_refuses_copy_false():
+    # no dense array exists to share, so numpy 2's copy=False must fail
+    A = CSRMatrix.from_matrix(np.array([[1.0, 0.0, 2.0]]))
+    with pytest.raises(ValueError, match="without a copy"):
+        np.array(A, copy=False)
+    assert_array_equal(np.asarray(A), [[1.0, 0.0, 2.0]])
+    assert np.array(A, dtype=np.float32).dtype == np.float32
+
 
 def _messy_inputs(rng):
     """A 6x9 matrix with an empty row (1), a stored zero at (3, 3) and the
@@ -360,7 +380,80 @@ def test_factor_same_blocks_from_every_input_form():
         for grp, want in zip(p.groups, ref.groups):
             for f in dataclasses.fields(grp):
                 got, exp = getattr(grp, f.name), getattr(want, f.name)
+                if f.name == "at":  # a slice or an index array
+                    assert type(got) is type(exp)
+                    got, exp = np.arange(cs.n)[got], np.arange(cs.n)[exp]
                 assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
+
+
+# ------------------------------- column views against the gather oracles
+
+def assert_gather_oracle_bytes(cs, rng):
+    """project_gradient, make_feasible and multipliers give the bytes of
+    the forms that gather ``v[cols]`` and scatter ``out[cols] -=``, at a
+    random vector and at a random point; returns the projector."""
+    p = factor(cs)
+    g, x0 = rng.standard_normal(cs.n), rng.standard_normal(cs.n)
+    assert project_gradient(p, g).tobytes() == gathered_to_null_space(p, g, False).tobytes()
+    assert make_feasible(p, x0).tobytes() == gathered_to_null_space(p, x0, True).tobytes()
+    assert multipliers(p, g).tobytes() == gathered_multipliers(p, g).tobytes()
+    return p
+
+
+def assert_index(grp, n, kind):
+    """grp.at is of the given kind and picks the entries cols.ravel()."""
+    assert isinstance(grp.at, kind)
+    assert_array_equal(np.arange(n)[grp.at], grp.cols.ravel())
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_benchmark_groups_read_slices(pid):
+    rng = np.random.default_rng(17)
+    for n in (DESK_DIM, PAPER_DIMS[pid]):
+        p = assert_gather_oracle_bytes(build(pid, n).cs, rng)
+        for grp in p.groups:
+            assert_index(grp, n, slice)
+
+
+@pytest.mark.parametrize("pid", ["ex1", "ex3", "ex8"])
+@pytest.mark.parametrize("free", [1, 3, 7])
+def test_slices_behind_free_leading_columns(pid, free):
+    # free leading columns shift every slice off the vector's alignment
+    cs = build(pid, DESK_DIM).cs
+    A = cs.A
+    shifted = CSRMatrix(A.indptr, A.indices + free, A.data,
+                        (A.shape[0], A.shape[1] + free))
+    n = shifted.shape[1]
+    p = assert_gather_oracle_bytes(ConstraintSystem(A=shifted, b=cs.b),
+                                   np.random.default_rng(free))
+    for grp in p.groups:
+        assert_index(grp, n, slice)
+        assert grp.at.start == free
+
+
+def test_permuted_columns_take_the_index_path():
+    cs = build("ex8", DESK_DIM).cs
+    rng = np.random.default_rng(8)
+    A = cs.A.toarray()[:, rng.permutation(cs.n)]
+    p = assert_gather_oracle_bytes(ConstraintSystem(A=A, b=cs.b), rng)
+    for grp in p.groups:
+        assert_index(grp, cs.n, np.ndarray)
+
+
+def test_interleaved_groups_take_the_index_path():
+    # block j: a 1x2 component on columns 5j, 5j+2 and a 1x3 one on
+    # 5j+1, 5j+3, 5j+4, so neither group's columns form one run
+    rng = np.random.default_rng(12)
+    blocks = 6
+    A = np.zeros((2 * blocks, 5 * blocks))
+    for j in range(blocks):
+        A[2 * j, [5 * j, 5 * j + 2]] = rng.standard_normal(2)
+        A[2 * j + 1, [5 * j + 1, 5 * j + 3, 5 * j + 4]] = rng.standard_normal(3)
+    cs = ConstraintSystem(A=A, b=rng.standard_normal(2 * blocks))
+    p = assert_gather_oracle_bytes(cs, rng)
+    assert [grp.cols.shape for grp in p.groups] == [(blocks, 2), (blocks, 3)]
+    for grp in p.groups:
+        assert_index(grp, cs.n, np.ndarray)
 
 
 # ------------------------------------------------------- project_gradient
@@ -506,6 +599,16 @@ def test_projector_properties_one_component(case):
     assert group.rows.shape == (1, A.shape[0])
     assert_array_equal(group.cols[0], np.flatnonzero(np.any(A, axis=0)))
     assert_matches_oracles(cs, A, np.random.default_rng(1), atol=1e-9)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(one_component_systems())
+def test_one_component_gather_oracle_bytes(case):
+    A, b, sparse = case
+    cs = ConstraintSystem(A=sp.csr_matrix(A) if sparse else A, b=b)
+    (group,) = assert_gather_oracle_bytes(cs, np.random.default_rng(2)).groups
+    one_run = np.all(np.diff(group.cols.ravel()) == 1)
+    assert_index(group, cs.n, slice if one_run else np.ndarray)
 
 
 @st.composite

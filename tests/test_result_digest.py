@@ -1,0 +1,53 @@
+"""``tools/result_digest.py`` sees every output bit of a solve.
+
+The digests themselves depend on the BLAS kernel, so no value is pinned
+here: a digest must repeat, and must change when one bit of x*, lambda*
+or one history record changes.
+"""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from eqflow import build, gradient_check, solve
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location(
+        "result_digest", ROOT / "tools" / "result_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _one_ulp_up(v, i=0):
+    v = v.copy()
+    v[i] = np.nextafter(v[i], np.inf)
+    return v
+
+
+def test_solve_digest_repeats_and_sees_every_field():
+    digest = _load().solve_digest
+    result = solve(build("ex1", 120))
+    first = digest(result)
+    assert digest(solve(build("ex1", 120))) == first
+    history = list(result.history)
+    history[-1] = history[-1]._replace(rho=float(np.nextafter(history[-1].rho, np.inf)))
+    for changed in (dataclasses.replace(result, x_star=_one_ulp_up(result.x_star)),
+                    dataclasses.replace(result, lambda_star=_one_ulp_up(result.lambda_star, -1)),
+                    dataclasses.replace(result, history=history)):
+        assert digest(changed) != first
+
+
+def test_check_digest_repeats_and_sees_the_errors():
+    digest = _load().check_digest
+    problem = build("ex1", 120)
+    report = gradient_check(problem, 2, 0)
+    first = digest(report)
+    assert digest(gradient_check(problem, 2, 0)) == first
+    changed = dataclasses.replace(report, coord_errors=_one_ulp_up(report.coord_errors, 5))
+    assert digest(changed) != first
