@@ -4,23 +4,20 @@ Each problem minimizes a separable polynomial objective subject to a
 block-banded system of linear equality constraints.  ``_TABLE`` is the
 definition: one entry per problem gives the monomial terms of an
 objective block, one block of constraint rows, the start point, the
-benchmark size and the known optimum.  One
-evaluator turns an entry into the objective, its gradient and the
-per-block objective values, vectorized over the blocks; the gradient is
-derived from the terms by one rule, not written by hand, so
-``gradient_check`` tests that rule.  Integer powers are formed by
-square-and-multiply rather than numpy's ``**``, whose integer exponents
-above 2 on a negative base take libm's slow ``pow``: exact for exponents
-1 and 2, a few ulps from ``pow`` above.  The check reads the per-block
-values (``Problem.block_values``): it moves one coordinate of every block
-at once, and each difference carries the rounding error of one block, not
-of the whole sum.  It evaluates a stack of check points per call (as many
-as fit 4096 float64 entries, 32 KiB; one point from n = 4096 up), so a
-stack costs 2·width block evaluations instead of 2n objective calls per
-point.  Constraint matrices are assembled sparse (CSR), and the
-projection layer factors their blocks one component at a time.  ``ex1``
-and ``ex3`` have closed-form optima; the other problems carry reference
-objective values at their benchmark sizes.
+benchmark size and the known optimum.  One evaluator turns an entry into
+the objective, its gradient and the per-block objective values,
+vectorized over the blocks; the gradient is derived from the terms by one
+rule, not written by hand, so ``gradient_check`` tests that rule.
+Integer powers are formed by square-and-multiply rather than numpy's
+``**``, whose integer exponents above 2 on a negative base take libm's
+slow ``pow``: exact for exponents 1 and 2, a few ulps from ``pow`` above.
+The check reads the per-block values (``Problem.block_values``): it moves
+one coordinate of every block at once, and each difference carries the
+rounding error of one block, not of the whole sum.  Constraint matrices
+are assembled sparse (CSR), and the projection layer factors their blocks
+one component at a time.  ``ex1`` and ``ex3`` have closed-form optima;
+the other problems carry reference objective values at their benchmark
+sizes.
 """
 
 import math
@@ -286,21 +283,26 @@ class GradientCheckReport:
     coord_errors: np.ndarray  # worst guarded relative error per coordinate
 
 
-def _stack_values(problem, stack, blocks):
-    """``problem.block_values`` of a stack of points, checked to have one
-    row of ``blocks`` values per point; ``blocks=None`` accepts any count
-    that divides n (the first call, which counts the blocks)."""
-    values = problem.block_values(stack)
-    shape = np.shape(values)
+def _objective_rows(objective):
+    """The objective as one block of width n: ``(rows, n)`` to ``(rows, 1)``."""
+    return lambda stack: np.array([[float(objective(x))] for x in stack])
+
+
+def _stack_values(name, values, stack, blocks):
+    """``values`` of a stack of points, checked to have one row of
+    ``blocks`` values per point; ``blocks=None`` accepts any count that
+    divides n (the first call, which counts the blocks)."""
+    result = values(stack)
+    shape = np.shape(result)
     rows, n = stack.shape
     if blocks is None and len(shape) == 2 and shape[1] and n % shape[1] == 0:
         blocks = shape[1]
     if shape != (rows, blocks):
         expected = (f"({rows}, {blocks})" if blocks else
                     f"({rows}, n/w) for a block width w that divides n = {n}")
-        raise ValueError(f"{problem.name}: block_values of a {stack.shape} "
+        raise ValueError(f"{name}: block_values of a {stack.shape} "
                          f"stack of points has shape {shape}, expected {expected}")
-    return values
+    return result
 
 
 def gradient_check(problem: Problem, num_points: int = 10,
@@ -319,16 +321,16 @@ def gradient_check(problem: Problem, num_points: int = 10,
     more accurate than one of the whole sum, which carries the rounding
     error of all n/w blocks.
 
-    The points are checked in stacks of ``max(1, _STACK // n)``. Below
+    The points are checked in stacks of ``max(1, _STACK // n)``: below
     n = 4096 each array of a stack (the points, their gradients and steps,
-    each moved copy) holds at most 32 KiB; from n = 4096 up a stack is one
-    point, and the working set is that of a check point by point. With
-    ``problem.block_values`` a stack costs 2w calls, each on a whole
-    ``(rows, n)`` stack, plus one call on the first stack to count the
-    blocks; a result that is not one row of n/w values per point raises
-    ValueError. A problem without it is one block of width n and costs 2n
-    objective calls per point, one difference per coordinate. Each point
-    is still made, projected and given its gradient on its own. A
+    each moved copy) holds at most 32 KiB, and from n = 4096 up a stack is
+    one point. A stack costs 2w ``block_values`` calls, each on the whole
+    ``(rows, n)`` stack, and the first stack one more to count the blocks:
+    1 + 2w calls when the points form one stack. A result that is not one
+    row of n/w values per point raises ValueError. Without
+    ``block_values`` the objective is one block of width n, and a point
+    costs 2n objective calls, each on one ``(n,)`` row. Each point is
+    still made, projected and given its gradient on its own. A
     ``num_points`` below 1 raises ValueError.
     """
     if num_points < 1:
@@ -338,7 +340,8 @@ def gradient_check(problem: Problem, num_points: int = 10,
     rng = np.random.default_rng(seed)
     n = problem.n
     rows = max(1, _STACK // n)
-    w = n if problem.block_values is None else None
+    values, w = ((_objective_rows(problem.objective), n)
+                 if problem.block_values is None else (problem.block_values, None))
     worst = np.zeros(n)
     for start in range(0, num_points, rows):
         stack = (min(rows, num_points - start), n)
@@ -351,7 +354,7 @@ def gradient_check(problem: Problem, num_points: int = 10,
                        out=x[r])
             g[r] = problem.gradient(x[r])
         if w is None:
-            w = n // _stack_values(problem, x, None).shape[1]
+            w = n // _stack_values(problem.name, values, x, None).shape[1]
         # flattened, the stack holds entry i of every block of every point
         # at x[i::w], since w divides n
         x, g = x.reshape(-1), g.reshape(-1)
@@ -362,12 +365,8 @@ def gradient_check(problem: Problem, num_points: int = 10,
             up[i::w] += h[i::w]
             down[i::w] -= h[i::w]
             up, down = up.reshape(stack), down.reshape(stack)
-            if problem.block_values is None:  # the whole objective, point by point
-                fd[i::w] = [problem.objective(u) - problem.objective(d)
-                            for u, d in zip(up, down)]
-            else:
-                fd[i::w] = (_stack_values(problem, up, n // w)
-                            - _stack_values(problem, down, n // w)).reshape(-1)
+            fd[i::w] = (_stack_values(problem.name, values, up, n // w)
+                        - _stack_values(problem.name, values, down, n // w)).reshape(-1)
         fd /= 2.0 * h
         err = np.abs(fd - g) / (1.0 + np.abs(g))
         for e in err.reshape(stack):

@@ -71,8 +71,8 @@ class CSRMatrix:
     ``indices[indptr[i]:indptr[i + 1]]``. The form is canonical: within a
     row the columns increase strictly, so duplicate entries given to the
     constructor are summed, in the order given. Explicitly stored zeros
-    are kept. The constructor copies its arrays, so later changes to them
-    do not reach the matrix. ``A @ x`` and ``A.T @ y`` take 1-D vectors.
+    are kept. The constructor copies its arrays into read-only ones, so no
+    later change reaches the matrix. ``A @ x`` and ``A.T @ y`` take 1-D vectors.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -93,6 +93,8 @@ class CSRMatrix:
             data = np.bincount(slot, weights=data, minlength=key.size)
             rows, indices = np.divmod(key, n)
             indptr = _starts(rows, m)
+        for a in (indptr, indices, data, rows):
+            a.flags.writeable = False
         self.indptr, self.indices, self.data = indptr, indices, data
         self.rows = rows    # the row of each stored entry
         self.shape = (m, n)
@@ -158,9 +160,8 @@ class ConstraintSystem:
     scipy.sparse format) or as a :class:`CSRMatrix`; it is converted once,
     and ``cs.A`` is then that :class:`CSRMatrix`, with duplicate entries
     summed and explicitly stored zeros kept. ``cs.b`` is a float copy of
-    ``b``, so later changes to the caller's vector do not reach the system;
-    nor do changes to a dense or scipy ``A``, which the conversion copies
-    (a :class:`CSRMatrix` is kept as given). The caller's arrays are never
+    ``b``. Every array of a system is a read-only copy, so no later change
+    reaches a system once it is checked, and the caller's arrays are never
     changed. A NaN or infinite entry of ``A`` (a stored one, if sparse) or
     of ``b`` raises :class:`NonFiniteError` naming it. Full row rank is
     checked by :func:`factor`, not here.
@@ -177,6 +178,7 @@ class ConstraintSystem:
                 f"constraint matrix must satisfy 1 <= m < n, n >= 2, got m={m} n={n}"
             )
         b = _vector(np.ravel(self.b), m, "right-hand side").copy()
+        b.flags.writeable = False
         _require_finite(A.data, lambda k: "constraint matrix entry "
                         f"A[{A.rows[k]}, {A.indices[k]}]")
         _require_finite(b, lambda i: f"right-hand side entry b[{i}]")
@@ -196,21 +198,20 @@ class ConstraintSystem:
 class BlockGroup:
     """QR factors of the k components of A that have r rows and c columns.
 
-    Component i holds constraints ``rows[i]`` (r of them) over variables
-    ``cols[i]`` (c of them). Its block of A^T factors as
-    ``q[i] @ r[i]`` with ``q[i]`` (c, r) orthonormal and ``r[i]`` (r, r)
-    upper triangular, and ``b_r[i]`` solves ``r[i]^T b_r[i] = b[rows[i]]``.
-
-    ``at`` indexes the group's variables in a length-n vector, in the order
-    of ``cols.ravel()``. It is ``slice(lo, lo + k * c)`` when those columns
-    are one increasing run, as in every benchmark problem, and the
-    flattened ``cols`` otherwise. A slice makes ``v[at]`` and ``out[at] -=``
-    views of the vector instead of a gather and a scatter, and gives the
-    same values.
+    Component i holds constraints ``rows[i]`` (r of them) over c variables,
+    and ``at`` indexes the k * c variables of the group in a length-n
+    vector, component by component, each component's in increasing order:
+    ``v[at].reshape(k, c)[i]`` are component i's entries. ``at`` is
+    ``slice(lo, lo + k * c)`` when those columns are one increasing run, as
+    in every benchmark problem, and an index array otherwise. A slice makes
+    ``v[at]`` and ``out[at] -=`` views of the vector instead of a gather and
+    a scatter, and gives the same values. Component i's block of A^T
+    factors as ``q[i] @ r[i]`` with ``q[i]`` (c, r) orthonormal and
+    ``r[i]`` (r, r) upper triangular, and ``b_r[i]`` solves
+    ``r[i]^T b_r[i] = b[rows[i]]``.
     """
 
     rows: np.ndarray
-    cols: np.ndarray
     at: Union[slice, np.ndarray]
     q: np.ndarray
     r: np.ndarray
@@ -220,17 +221,17 @@ class BlockGroup:
         """Row-space coordinates q^T v of each block, shape (k, r), from the
         group's entries ``v[at]``.
 
-        The summation order over c is einsum's own, and the solve's bits
-        hang on it. For ex8 at n = 4800 (k = 1600, c = 3, r = 1), with the
-        products p_j = q[:, j, 0] * v[cols[:, j]], the coordinates equal
-        ``(p0 + p2) + p1`` in all 204 800 entries of the solve's 128 calls
-        and a left-to-right sum in 153 600 (numpy 2.4.6, x86-64). Summed
-        another way (``matmul``, ``.sum(axis=1)``, sequentially, reversed)
-        block 0 of that solve ended in the local basin (f* = -12116.39), so
-        the ex8 result rests on an order numpy does not promise. ROADMAP.md
-        item 1 replaces it with a stated order; until then keep the einsum.
+        The summation order over c is einsum's own, and the solve's bits hang
+        on it. For ex8 at n = 4800 (k = 1600, c = 3, r = 1), with p_j the
+        products of q[:, j, 0] and each block's entry j, the coordinates equal
+        ``(p0 + p2) + p1`` in all 204 800 entries of the solve's 128 calls and
+        a left-to-right sum in 153 600 (numpy 2.4.6, x86-64). Summed another
+        way (``matmul``, ``.sum(axis=1)``, sequentially, reversed) block 0 of
+        that solve ended in the local basin (f* = -12116.39), so the ex8 result
+        rests on an order numpy does not promise. ROADMAP.md item 1 replaces it
+        with a stated order; until then keep the einsum.
         """
-        return np.einsum("kcr,kc->kr", self.q, v[self.at].reshape(self.cols.shape))
+        return np.einsum("kcr,kc->kr", self.q, v[self.at].reshape(self.q.shape[:2]))
 
     def expand(self, t) -> np.ndarray:
         """Map block coordinates t (k, r) back to variables: q @ t, (k, c)."""
@@ -351,13 +352,12 @@ def factor(cs: ConstraintSystem) -> Projector:
         r, c = divmod(key, n + 1)
         rows = row_order[row_end:row_end + k * r].reshape(k, r)
         at = col_order[col_end:col_end + k * c]
-        cols = at.reshape(k, c)
-        if (at[1:] - at[:-1] == 1).all():
-            at = slice(int(at[0]), int(at[-1]) + 1)
         row_end, col_end = row_end + k * r, col_end + k * c
         row_slot[rows] = np.arange(k)[:, None]
         row_rank[rows] = np.arange(r)
-        col_rank[cols] = np.arange(c)
+        col_rank[at.reshape(k, c)] = np.arange(c)
+        if (at[1:] - at[:-1] == 1).all():
+            at = slice(int(at[0]), int(at[-1]) + 1)
         nz = nz_order[nz_start[g]:nz_start[g + 1]]
         blocks = np.zeros((k, c, r))
         blocks[row_slot[nz_rows[nz]], col_rank[nz_cols[nz]], row_rank[nz_rows[nz]]] = a.data[nz]
@@ -371,7 +371,7 @@ def factor(cs: ConstraintSystem) -> Projector:
                 f"{diag[bad[0]].min():.3e}"
             )
         b_r = np.linalg.solve(rr.transpose(0, 2, 1), cs.b[rows][..., None])[..., 0]
-        groups.append(BlockGroup(rows=rows, cols=cols, at=at, q=q, r=rr, b_r=b_r))
+        groups.append(BlockGroup(rows=rows, at=at, q=q, r=rr, b_r=b_r))
     return Projector(n=n, m=m, groups=tuple(groups))
 
 

@@ -183,9 +183,9 @@ def solve(problem, config: Optional[SolverConfig] = None,
     SolveResult
         The last adopted point (the projected start or an accepted step),
         its objective, multipliers, residuals, the counters and the history.
-        An adopted point with a non-finite f or gradient, or off Ax = b by
-        more than ``1e-9 * (1 + ||b||_inf)``, ends NUMERICAL_ERROR. ``status``
-        is CONVERGED exactly when ``||pg||_inf <= config.eps`` was reached.
+        An adopted point with a non-finite f or gradient or off Ax = b by
+        more than ``1e-9 * (1 + ||b||_inf)``, or a non-finite trial gradient,
+        ends NUMERICAL_ERROR; CONVERGED is exactly ``||pg||_inf <= config.eps``.
     """
     cfg = config if config is not None else SolverConfig()
     cfg.validate()
@@ -226,7 +226,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
             if pg_inf <= cfg.eps:
                 status = Status.CONVERGED
                 continue
-            pg_2 = math.sqrt(float(pg @ pg))  # np.linalg.norm's own formula
+            pg_2 = math.sqrt(float(pg @ pg))
             d = direction(pg, pair)
         if len(history) >= cfg.max_iter:
             status = Status.MAX_ITERATIONS
@@ -252,11 +252,11 @@ def solve(problem, config: Optional[SolverConfig] = None,
             status = Status.NUMERICAL_ERROR
         elif stalled >= _STALL_LIMIT:
             status = Status.STALLED_TIME_STEP
-        elif accepted:
+        elif accepted or trial is not None:
             g_trial, pg_trial = trial if trial is not None else gradients(x_trial)
             if pg_trial is None:
                 status = Status.NUMERICAL_ERROR
-            else:
+            elif accepted:
                 pair = CurvaturePair.from_step(s, pg_trial - pg)
                 x, f, g, pg, d = x_trial, f_trial, g_trial, pg_trial, None
         dt = update_dt(dt, rho)

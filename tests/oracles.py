@@ -19,14 +19,21 @@ def dense_h(pair: Optional[CurvaturePair], n: int) -> np.ndarray:
             + (2.0 * pair.y_sq / c**2) * np.outer(s, s))
 
 
+def group_columns(grp) -> np.ndarray:
+    """The (k, c) variables of a block group, row i those of component i,
+    as its column index ``at`` (a slice or an index array) picks them."""
+    return np.r_[grp.at].reshape(grp.q.shape[:2])
+
+
 def gathered_to_null_space(p, v, shifted: bool) -> np.ndarray:
     """v - Q (Q^T v - t) with each group's entries gathered as ``v[cols]``
     and written back by ``out[cols] -=``, the index form of what
     ``project_gradient`` (t = 0) and ``make_feasible`` (t = b_r) compute."""
     out = v.copy()
     for grp in p.groups:
-        coef = np.einsum("kcr,kc->kr", grp.q, v[grp.cols])
-        out[grp.cols] -= grp.expand(coef - grp.b_r if shifted else coef)
+        cols = group_columns(grp)
+        coef = np.einsum("kcr,kc->kr", grp.q, v[cols])
+        out[cols] -= grp.expand(coef - grp.b_r if shifted else coef)
     return out
 
 
@@ -34,7 +41,7 @@ def gathered_multipliers(p, g) -> np.ndarray:
     """``multipliers`` with each group's entries gathered as ``g[cols]``."""
     lam = np.empty(p.m)
     for grp in p.groups:
-        coef = np.einsum("kcr,kc->kr", grp.q, g[grp.cols])
+        coef = np.einsum("kcr,kc->kr", grp.q, g[group_columns(grp)])
         lam[grp.rows] = -np.linalg.solve(grp.r, coef[..., None])[..., 0]
     return lam
 

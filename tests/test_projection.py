@@ -20,7 +20,7 @@ from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, ConstraintSystem,
                     RankDeficientError, build, factor, make_feasible,
                     multipliers, project_gradient, residuals)
 from eqflow.projection import _RANK_GATE, _column_components
-from oracles import gathered_multipliers, gathered_to_null_space
+from oracles import gathered_multipliers, gathered_to_null_space, group_columns
 
 
 def dense_projection(A):
@@ -77,14 +77,14 @@ def assert_block_layout(p, A):
     """The layout factor keeps: groups in increasing (r, c), the components
     of a group by their smallest column, each component's rows and columns
     increasing, and each row and each column with a nonzero in one block."""
-    shapes = [(grp.rows.shape[1], grp.cols.shape[1]) for grp in p.groups]
+    shapes = [(grp.rows.shape[1], grp.q.shape[1]) for grp in p.groups]
     assert shapes == sorted(set(shapes))
     for grp in p.groups:
         assert np.all(np.diff(grp.rows, axis=1) > 0)
-        assert np.all(np.diff(grp.cols, axis=1) > 0)
-        assert np.all(np.diff(grp.cols[:, 0]) > 0)
+        assert np.all(np.diff(group_columns(grp), axis=1) > 0)
+        assert np.all(np.diff(group_columns(grp)[:, 0]) > 0)
     rows = np.concatenate([grp.rows.ravel() for grp in p.groups])
-    cols = np.concatenate([grp.cols.ravel() for grp in p.groups])
+    cols = np.concatenate([group_columns(grp).ravel() for grp in p.groups])
     assert_array_equal(np.sort(rows), np.arange(A.shape[0]))
     assert_array_equal(np.sort(cols), np.flatnonzero(np.any(A, axis=0)))
 
@@ -298,6 +298,29 @@ def test_constraint_system_copies_b():
     assert_array_equal(cs.A.toarray(), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
 
 
+@pytest.mark.parametrize("form", ["csr-arrays", "csr-duplicates", "dense", "scipy"])
+def test_checked_system_arrays_are_read_only(form):
+    # a write after the checks would reach a system that passed them (a NaN
+    # written into A.data gave NaN Q factors and no error), so every array
+    # of a system refuses writes; the caller's own arrays stay writable
+    dense = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 2.0])
+    given = {"csr-arrays": (np.array([0, 2, 4]), np.array([0, 1, 1, 2]), np.ones(4)),
+             "csr-duplicates": (np.array([0, 3, 5]), np.array([0, 1, 0, 2, 1]),
+                                np.array([0.5, 1.0, 0.5, 1.0, 1.0])),
+             "dense": (dense,), "scipy": (sp.csr_matrix(dense),)}[form]
+    A = (CSRMatrix(*given, (2, 3)) if form.startswith("csr")
+         else CSRMatrix.from_matrix(given[0]))
+    cs = ConstraintSystem(A=A, b=b)
+    assert cs.A is A
+    assert_array_equal(A.toarray(), dense)
+    for array in (A.indptr, A.indices, A.data, A.rows, cs.b):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = np.nan
+    for array in (b, *(a for a in given if isinstance(a, np.ndarray))):
+        assert array.flags.writeable
+
+
 # -------------------------------------------------------------- CSRMatrix
 
 def test_csr_array_protocol_refuses_copy_false():
@@ -400,19 +423,30 @@ def assert_gather_oracle_bytes(cs, rng):
     return p
 
 
-def assert_index(grp, n, kind):
-    """grp.at is of the given kind and picks the entries cols.ravel()."""
+def assert_index(grp, A, kind):
+    """grp.at is of the given kind, and the columns it gives component i
+    are the sorted union of the columns that the rows ``grp.rows[i]`` of
+    the CSRMatrix A store entries in."""
     assert isinstance(grp.at, kind)
-    assert_array_equal(np.arange(n)[grp.at], grp.cols.ravel())
+    m, n = A.shape
+    k = len(grp.rows)
+    component = np.full(m, -1)
+    component[grp.rows] = np.arange(k)[:, None]
+    slot = component[A.rows]
+    ours = slot >= 0
+    # (component, column) of each stored entry of the group's rows
+    pairs = np.unique(slot[ours] * n + A.indices[ours])
+    assert_array_equal(pairs, (np.arange(k)[:, None] * n + group_columns(grp)).ravel())
 
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_benchmark_groups_read_slices(pid):
     rng = np.random.default_rng(17)
     for n in (DESK_DIM, PAPER_DIMS[pid]):
-        p = assert_gather_oracle_bytes(build(pid, n).cs, rng)
+        cs = build(pid, n).cs
+        p = assert_gather_oracle_bytes(cs, rng)
         for grp in p.groups:
-            assert_index(grp, n, slice)
+            assert_index(grp, cs.A, slice)
 
 
 @pytest.mark.parametrize("pid", ["ex1", "ex3", "ex8"])
@@ -423,21 +457,20 @@ def test_slices_behind_free_leading_columns(pid, free):
     A = cs.A
     shifted = CSRMatrix(A.indptr, A.indices + free, A.data,
                         (A.shape[0], A.shape[1] + free))
-    n = shifted.shape[1]
     p = assert_gather_oracle_bytes(ConstraintSystem(A=shifted, b=cs.b),
                                    np.random.default_rng(free))
     for grp in p.groups:
-        assert_index(grp, n, slice)
+        assert_index(grp, shifted, slice)
         assert grp.at.start == free
 
 
 def test_permuted_columns_take_the_index_path():
     cs = build("ex8", DESK_DIM).cs
     rng = np.random.default_rng(8)
-    A = cs.A.toarray()[:, rng.permutation(cs.n)]
-    p = assert_gather_oracle_bytes(ConstraintSystem(A=A, b=cs.b), rng)
+    permuted = ConstraintSystem(A=cs.A.toarray()[:, rng.permutation(cs.n)], b=cs.b)
+    p = assert_gather_oracle_bytes(permuted, rng)
     for grp in p.groups:
-        assert_index(grp, cs.n, np.ndarray)
+        assert_index(grp, permuted.A, np.ndarray)
 
 
 def test_interleaved_groups_take_the_index_path():
@@ -451,9 +484,9 @@ def test_interleaved_groups_take_the_index_path():
         A[2 * j + 1, [5 * j + 1, 5 * j + 3, 5 * j + 4]] = rng.standard_normal(3)
     cs = ConstraintSystem(A=A, b=rng.standard_normal(2 * blocks))
     p = assert_gather_oracle_bytes(cs, rng)
-    assert [grp.cols.shape for grp in p.groups] == [(blocks, 2), (blocks, 3)]
+    assert [group_columns(grp).shape for grp in p.groups] == [(blocks, 2), (blocks, 3)]
     for grp in p.groups:
-        assert_index(grp, cs.n, np.ndarray)
+        assert_index(grp, cs.A, np.ndarray)
 
 
 # ------------------------------------------------------- project_gradient
@@ -597,7 +630,7 @@ def test_projector_properties_one_component(case):
     cs = ConstraintSystem(A=sp.csr_matrix(A) if sparse else A, b=b)
     (group,) = factor(cs).groups
     assert group.rows.shape == (1, A.shape[0])
-    assert_array_equal(group.cols[0], np.flatnonzero(np.any(A, axis=0)))
+    assert_array_equal(group_columns(group)[0], np.flatnonzero(np.any(A, axis=0)))
     assert_matches_oracles(cs, A, np.random.default_rng(1), atol=1e-9)
 
 
@@ -607,8 +640,8 @@ def test_one_component_gather_oracle_bytes(case):
     A, b, sparse = case
     cs = ConstraintSystem(A=sp.csr_matrix(A) if sparse else A, b=b)
     (group,) = assert_gather_oracle_bytes(cs, np.random.default_rng(2)).groups
-    one_run = np.all(np.diff(group.cols.ravel()) == 1)
-    assert_index(group, cs.n, slice if one_run else np.ndarray)
+    one_run = np.all(np.diff(group_columns(group).ravel()) == 1)
+    assert_index(group, cs.A, slice if one_run else np.ndarray)
 
 
 @st.composite

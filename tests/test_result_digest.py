@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from eqflow import build, gradient_check, solve
+from eqflow import build, factor, gradient_check, solve
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +51,14 @@ def test_check_digest_repeats_and_sees_the_errors():
     assert digest(gradient_check(problem, 2, 0)) == first
     changed = dataclasses.replace(report, coord_errors=_one_ulp_up(report.coord_errors, 5))
     assert digest(changed) != first
+
+
+def test_projection_items_take_the_index_path():
+    # the benchmark problems' groups all index by a slice, so the tool's
+    # projection items must reach the index-array path
+    tool = _load()
+    for make in (tool.permuted_ex8, tool.interleaved):
+        cs = make(120, 0)
+        assert all(isinstance(grp.at, np.ndarray) for grp in factor(cs).groups)
+        assert tool.projection_digest(cs, 0) == tool.projection_digest(make(120, 0), 0)
+        assert tool.projection_digest(cs, 0) != tool.projection_digest(cs, 7)

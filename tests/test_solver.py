@@ -312,26 +312,31 @@ def test_solve_numerical_error_on_bad_objective():
 
 
 def test_solve_gradient_turning_nan_ends_at_last_finite_point():
-    # the gradient after the first accepted step is NaN: the solve ends with
-    # numerical_error at the start point, whose gradient was finite
+    # the gradient at the first trial point is NaN: the solve ends with
+    # numerical_error at the start point, whose gradient was finite. With
+    # ex1's objective the first trial is accepted and its gradient taken
+    # then; with a constant one the ratio test takes it at f's noise floor
+    # and rejects the trial, and the solve still ends there
     base = build("ex1", 12)
-    calls = []
-
-    def gradient(x):
-        calls.append(1)
-        g = base.gradient(x)
-        return g if len(calls) < 2 else np.full_like(g, np.nan)
-
-    problem = dataclasses.replace(base, gradient=gradient)
-    result = solve(problem)
-    assert_consistent(result, problem)
     x0 = make_feasible(factor(base.cs), base.x0)
-    assert result.status is Status.NUMERICAL_ERROR
-    assert result.steps == result.total_iters == 1 and result.n_g == 2
-    assert result.x_star.tobytes() == x0.tobytes()
-    assert result.f_star == base.objective(x0)
-    assert np.isfinite(result.lambda_star).all()
-    assert math.isfinite(result.kkt_inf) and result.feas_inf <= 1e-12
+    for objective, steps in ((base.objective, 1), (lambda x: 7.0, 0)):
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            g = base.gradient(x)
+            return g if len(calls) < 2 else np.full_like(g, np.nan)
+
+        problem = dataclasses.replace(base, objective=objective, gradient=gradient)
+        result = solve(problem)
+        assert_consistent(result, problem)
+        assert result.status is Status.NUMERICAL_ERROR
+        assert result.total_iters == 1 and result.n_g == 2
+        assert result.steps == steps
+        assert result.x_star.tobytes() == x0.tobytes()
+        assert result.f_star == objective(x0)
+        assert np.isfinite(result.lambda_star).all()
+        assert math.isfinite(result.kkt_inf) and result.feas_inf <= 1e-12
 
 
 def test_solve_failed_invariants_end_with_numerical_error(monkeypatch):

@@ -3,11 +3,18 @@
 A change that claims "same results" should leave this script's output
 unchanged. It solves the ten problems at n = 120 and at their paper
 sizes (20 solves) and runs ``gradient_check`` (ten points, seeds 0 and 7)
-on the same 20 problems. Each item's digest covers every output bit: a
-solve's status, counts, f*, kkt, feas, x*, lambda* and every
-``IterationRecord``; a check's name, n, point count, worst error and
-per-coordinate errors. The script prints one line per item and a last
-line with the digest of all items in order.
+on the same 20 problems, and on ex1 and ex8 at n = 120 without
+``block_values``, where the check differences the whole objective. Every
+benchmark problem's block groups index their variables by a slice, so it
+also runs ``project_gradient``, ``make_feasible`` and ``multipliers`` on
+systems whose groups take the index-array path: ex8's constraints with
+the columns permuted by a seeded permutation, and interleaved 1x2 and 1x3
+components, each at n = 120 and 4800. Each item's digest covers every
+output bit: a solve's status, counts, f*, kkt, feas, x*, lambda* and
+every ``IterationRecord``; a check's name, n, point count, worst error
+and per-coordinate errors; a projection's three result vectors. The
+script prints one line per item and a last line with the digest of all
+items in order.
 
 The digest depends on the BLAS kernel: OpenBLAS picks one per machine
 (``OPENBLAS_CORETYPE`` overrides it for one process), and different
@@ -18,6 +25,7 @@ not a constant to pin in a test.
 Usage: python3 tools/result_digest.py
 """
 
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -27,8 +35,10 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, build,  # noqa: E402
-                    gradient_check, solve)
+from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS,  # noqa: E402
+                    ConstraintSystem, CSRMatrix, build, factor,
+                    gradient_check, make_feasible, multipliers,
+                    project_gradient, solve)
 
 SEEDS = (0, 7)
 POINTS = 10
@@ -45,32 +55,75 @@ def _exact(value) -> bytes:
     return repr(value).encode()
 
 
+def digest(fields) -> str:
+    """Hex SHA-256 of every bit of a scalar, an array or a tuple of them."""
+    return hashlib.sha256(_exact(fields)).hexdigest()
+
+
 def solve_digest(result) -> str:
     """Hex SHA-256 of every field of a SolveResult, history included."""
-    fields = (result.status.value, result.steps, result.total_iters,
-              result.n_f, result.n_g, result.f_star, result.kkt_inf,
-              result.feas_inf, result.x_star, result.lambda_star,
-              tuple(tuple(record) for record in result.history))
-    return hashlib.sha256(_exact(fields)).hexdigest()
+    return digest((result.status.value, result.steps, result.total_iters,
+                   result.n_f, result.n_g, result.f_star, result.kkt_inf,
+                   result.feas_inf, result.x_star, result.lambda_star,
+                   tuple(tuple(record) for record in result.history)))
 
 
 def check_digest(report) -> str:
     """Hex SHA-256 of every field of a GradientCheckReport."""
-    fields = (report.name, report.n, report.num_points, report.max_rel_error,
-              report.coord_errors)
-    return hashlib.sha256(_exact(fields)).hexdigest()
+    return digest((report.name, report.n, report.num_points,
+                   report.max_rel_error, report.coord_errors))
+
+
+def projection_digest(cs, seed) -> str:
+    """Hex SHA-256 of project_gradient and multipliers at one seeded random
+    vector and of make_feasible at another."""
+    p = factor(cs)
+    rng = np.random.default_rng(seed)
+    g, x0 = rng.standard_normal(cs.n), rng.standard_normal(cs.n)
+    return digest((project_gradient(p, g), make_feasible(p, x0),
+                   multipliers(p, g)))
+
+
+def permuted_ex8(n, seed) -> ConstraintSystem:
+    """ex8's constraints at n with column j moved to a seeded perm[j]."""
+    cs = build("ex8", n).cs
+    perm = np.random.default_rng(seed).permutation(n)
+    A = CSRMatrix(cs.A.indptr, perm[cs.A.indices], cs.A.data, cs.A.shape)
+    return ConstraintSystem(A=A, b=cs.b)
+
+
+def interleaved(n, seed) -> ConstraintSystem:
+    """Block j of n/5: a 1x2 component on columns 5j, 5j+2 and a 1x3 one on
+    5j+1, 5j+3, 5j+4, with seeded normal coefficients and right sides."""
+    blocks = n // 5
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate(([0], np.cumsum(np.tile([2, 3], blocks))))
+    cols = (5 * np.arange(blocks)[:, None] + [0, 2, 1, 3, 4]).ravel()
+    A = CSRMatrix(indptr, cols, rng.standard_normal(5 * blocks), (2 * blocks, n))
+    return ConstraintSystem(A=A, b=rng.standard_normal(2 * blocks))
 
 
 def items():
-    """(label, digest) of each solve, then of each gradient check."""
+    """(label, digest) of each solve, then of each gradient check, then of
+    each projection on index-array groups."""
     problems = ([build(pid, DESK_DIM) for pid in PROBLEM_IDS]
                 + [build(pid, PAPER_DIMS[pid]) for pid in PROBLEM_IDS])
     for p in problems:
         yield f"solve {p.name} n={p.n}", solve_digest(solve(p))
+    objective_only = [dataclasses.replace(build(pid, DESK_DIM), block_values=None)
+                      for pid in ("ex1", "ex8")]
     for seed in SEEDS:
         for p in problems:
             yield (f"check {p.name} n={p.n} seed={seed}",
                    check_digest(gradient_check(p, POINTS, seed)))
+        for p in objective_only:
+            yield (f"check {p.name} n={p.n} seed={seed} objective",
+                   check_digest(gradient_check(p, POINTS, seed)))
+    for make in (permuted_ex8, interleaved):
+        for n in (DESK_DIM, 4800):
+            for seed in SEEDS:
+                yield (f"project {make.__name__} n={n} seed={seed}",
+                       projection_digest(make(n, seed), seed))
 
 
 def main() -> int:
