@@ -16,8 +16,8 @@ A is held in this module's own compressed-row form, :class:`CSRMatrix`,
 so the package imports no scipy.
 """
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+from dataclasses import dataclass, field
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -164,11 +164,15 @@ class ConstraintSystem:
     reaches a system once it is checked, and the caller's arrays are never
     changed. A NaN or infinite entry of ``A`` (a stored one, if sparse) or
     of ``b`` raises :class:`NonFiniteError` naming it. Full row rank is
-    checked by :func:`factor`, not here.
+    checked by :func:`factor`, not here. The system keeps the projector
+    that :func:`factor` computes for it at the first call, so
+    ``dataclasses.replace(cs, b=...)`` makes a system that is factored anew.
     """
 
     A: CSRMatrix
     b: np.ndarray
+    _projector: Optional["Projector"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = CSRMatrix.from_matrix(self.A)
@@ -245,7 +249,8 @@ class Projector:
     ``groups`` holds one :class:`BlockGroup` per component shape; every
     constraint row lies in exactly one group, and variables that appear in
     no constraint lie in none (the projections leave them unchanged).
-    Safe for concurrent read-only use.
+    Every array of a group is read-only, so the projector that
+    :func:`factor` keeps for a system is safe for concurrent read-only use.
     """
 
     n: int
@@ -283,6 +288,12 @@ def _column_components(n, starts, cols, rows) -> np.ndarray:
 def factor(cs: ConstraintSystem) -> Projector:
     """Factor A^T = Q R by Householder reflections, one component at a time.
 
+    The first call on a system computes its projector and keeps it on the
+    system; every later call returns that same projector. A system that is
+    rank deficient keeps nothing and raises at every call. Threads that
+    make the first call at once may each compute the projector; one is
+    kept, and the others are equal to it.
+
     The connected components of the bipartite row/column graph of A are
     grouped by shape (r rows, c columns), and each group's stacked (k, c, r)
     blocks of A^T go through one batched ``np.linalg.qr``. One stable sort
@@ -304,6 +315,8 @@ def factor(cs: ConstraintSystem) -> Projector:
         maximum taken over that component's R.
         The message names the rows of the offending component.
     """
+    if cs._projector is not None:
+        return cs._projector
     a = cs.A
     m, n = a.shape
     empty = np.flatnonzero(np.diff(a.indptr) == 0)
@@ -338,6 +351,8 @@ def factor(cs: ConstraintSystem) -> Projector:
     row_order = np.argsort(group[row_label] * n + row_label, kind="stable")
     col_order = col_idx[np.argsort(group[col_label] * n + col_label,
                                    kind="stable")]
+    # Each group's rows and an index-array at are views of these.
+    row_order.flags.writeable = col_order.flags.writeable = False
     # Each nonzero's place in its group's (k, c, r) stack of A^T blocks: the
     # slot of its component in the group, and the rank of its column and of
     # its row in the component.
@@ -371,8 +386,11 @@ def factor(cs: ConstraintSystem) -> Projector:
                 f"{diag[bad[0]].min():.3e}"
             )
         b_r = np.linalg.solve(rr.transpose(0, 2, 1), cs.b[rows][..., None])[..., 0]
+        for arr in (q, rr, b_r):
+            arr.flags.writeable = False
         groups.append(BlockGroup(rows=rows, at=at, q=q, r=rr, b_r=b_r))
-    return Projector(n=n, m=m, groups=tuple(groups))
+    object.__setattr__(cs, "_projector", Projector(n=n, m=m, groups=tuple(groups)))
+    return cs._projector
 
 
 def _to_null_space(p: Projector, v, shifted: bool) -> np.ndarray:

@@ -192,6 +192,49 @@ def test_factor_rank_deficient():
         factor(ConstraintSystem(A=tall, b=np.zeros(3)))
 
 
+def test_factor_keeps_one_projector_per_system():
+    cs = build("ex1", 12).cs
+    assert factor(cs) is factor(cs)
+    # a system made by replace is a new system: it factors anew, for its b
+    doubled = dataclasses.replace(cs, b=2 * cs.b)
+    p = factor(doubled)
+    assert p is not factor(cs) and p is factor(doubled)
+    x = make_feasible(p, np.zeros(cs.n))
+    assert_allclose(doubled.A @ x, doubled.b, atol=1e-12)
+    assert_allclose(cs.A @ make_feasible(factor(cs), np.zeros(cs.n)), cs.b, atol=1e-12)
+
+
+def test_rank_deficient_system_raises_at_every_call(monkeypatch):
+    # nothing is kept for a system that fails: each call factors and raises
+    cs = ConstraintSystem(A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]),
+                          b=np.zeros(2))
+    calls = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a: calls.append(1) or real_qr(*a))
+    for expected_calls in (1, 2):
+        with pytest.raises(RankDeficientError):
+            factor(cs)
+        assert len(calls) == expected_calls
+
+
+@pytest.mark.parametrize("index", [slice, np.ndarray])
+def test_projector_arrays_are_read_only(index):
+    # factor keeps one projector per system, so a write to one of its
+    # arrays would reach every later solve on that system
+    cs = build("ex8", DESK_DIM).cs
+    if index is np.ndarray:
+        perm = np.random.default_rng(4).permutation(cs.n)
+        cs = ConstraintSystem(A=cs.A.toarray()[:, perm], b=cs.b)
+    grp, = factor(cs).groups
+    assert isinstance(grp.at, index)
+    indexes = [grp.at] if index is np.ndarray else []
+    for array in [grp.q, grp.r, grp.b_r, grp.rows] + indexes:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = np.nan
+    g = np.random.default_rng(5).standard_normal(cs.n)
+    assert np.all(np.isfinite(project_gradient(factor(cs), g)))
+
+
 def test_factor_rank_gate_per_component():
     # full-rank blocks 1e16 apart in scale: each is judged on its own R
     A = np.array([[1e8, 1e8, 0.0, 0.0], [0.0, 0.0, 1e-8, 1e-8]])

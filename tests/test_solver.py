@@ -1,6 +1,7 @@
 """Solve loop: step/model/ratio arithmetic, statuses, invariants."""
 
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -15,7 +16,8 @@ from numpy.testing import assert_allclose
 
 import eqflow.solver
 from eqflow import (PAPER_DIMS, ConstraintSystem, SolverConfig, Status, build,
-                    factor, make_feasible, project_gradient, solve)
+                    factor, gradient_check, make_feasible, project_gradient,
+                    solve)
 from eqflow.problems import Problem, _block_constraints, _evaluator, _Spec
 from eqflow.solver import model_decrease, trial_ratio, trial_step, update_dt
 
@@ -261,6 +263,38 @@ def test_solve_deterministic_histories():
     r2 = solve(build("ex5", 16))
     assert r1.history == r2.history
     assert np.array_equal(r1.x_star, r2.x_star)
+
+
+def _solve_digest():
+    spec = importlib.util.spec_from_file_location(
+        "result_digest", Path(__file__).resolve().parents[1] / "tools" / "result_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.solve_digest
+
+
+def test_one_factorization_serves_a_problem(monkeypatch):
+    # the projector is kept on problem.cs, which replace(problem, x0=...)
+    # shares, so a check and further solves reuse it
+    calls = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a: calls.append(1) or real_qr(*a))
+    problem = build("ex3", 12)  # one group: one QR call per factorization
+    assert solve(problem).status is Status.CONVERGED
+    gradient_check(problem, 2, 0)
+    moved = dataclasses.replace(problem, x0=problem.x0 + 0.5)
+    assert solve(moved).status is Status.CONVERGED
+    assert len(calls) == 1
+
+
+def test_solve_again_gives_the_same_bits():
+    # a solve on the kept projector repeats the first bit for bit, and
+    # equals a solve on a freshly built (freshly factored) problem
+    digest = _solve_digest()
+    problem = build("ex8", 120)
+    first = digest(solve(problem))
+    assert digest(solve(problem)) == first
+    assert digest(solve(build("ex8", 120))) == first
 
 
 def test_solve_iteration_cap():

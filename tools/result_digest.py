@@ -4,17 +4,19 @@ A change that claims "same results" should leave this script's output
 unchanged. It solves the ten problems at n = 120 and at their paper
 sizes (20 solves) and runs ``gradient_check`` (ten points, seeds 0 and 7)
 on the same 20 problems, and on ex1 and ex8 at n = 120 without
-``block_values``, where the check differences the whole objective. Every
-benchmark problem's block groups index their variables by a slice, so it
-also runs ``project_gradient``, ``make_feasible`` and ``multipliers`` on
-systems whose groups take the index-array path: ex8's constraints with
-the columns permuted by a seeded permutation, and interleaved 1x2 and 1x3
-components, each at n = 120 and 4800. Each item's digest covers every
-output bit: a solve's status, counts, f*, kkt, feas, x*, lambda* and
-every ``IterationRecord``; a check's name, n, point count, worst error
-and per-coordinate errors; a projection's three result vectors. The
-script prints one line per item and a last line with the digest of all
-items in order.
+``block_values``, where the check differences the whole objective. It
+then solves the 20 problems again on the same ``Problem`` objects, so on
+the projector that ``factor`` kept for each system; each of these lines
+must equal the first solve's. Every benchmark problem's block groups
+index their variables by a slice, so it also runs ``project_gradient``,
+``make_feasible`` and ``multipliers`` on systems whose groups take the
+index-array path: ex8's constraints with the columns permuted by a
+seeded permutation, and interleaved 1x2 and 1x3 components, each at
+n = 120 and 4800. Each item's digest covers every output bit: a solve's
+status, counts, f*, kkt, feas, x*, lambda* and every ``IterationRecord``;
+a check's name, n, point count, worst error and per-coordinate errors; a
+projection's three result vectors. The script prints one line per item
+and a last line with the digest of all items in order.
 
 The digest depends on the BLAS kernel: OpenBLAS picks one per machine
 (``OPENBLAS_CORETYPE`` overrides it for one process), and different
@@ -105,7 +107,8 @@ def interleaved(n, seed) -> ConstraintSystem:
 
 def items():
     """(label, digest) of each solve, then of each gradient check, then of
-    each projection on index-array groups."""
+    each solve again on the same problem, then of each projection on
+    index-array groups."""
     problems = ([build(pid, DESK_DIM) for pid in PROBLEM_IDS]
                 + [build(pid, PAPER_DIMS[pid]) for pid in PROBLEM_IDS])
     for p in problems:
@@ -119,6 +122,8 @@ def items():
         for p in objective_only:
             yield (f"check {p.name} n={p.n} seed={seed} objective",
                    check_digest(gradient_check(p, POINTS, seed)))
+    for p in problems:
+        yield f"solve again {p.name} n={p.n}", solve_digest(solve(p))
     for make in (permuted_ex8, interleaved):
         for n in (DESK_DIM, 4800):
             for seed in SEEDS:
