@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import eqflow
+import eqflow.cli
 from eqflow import IterationRecord
 from eqflow.cli import HISTORY_COLUMNS, SUITE_COLUMNS, main
 
@@ -117,6 +119,22 @@ def test_suite_deterministic_bytes(tmp_path):
     assert main(["suite", "--n", "24", "--only", "ex1,ex6,ex8", "--out", str(a)]) == 0
     assert main(["suite", "--n", "24", "--only", "ex1,ex6,ex8", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_suite_frees_each_system_once_solved(monkeypatch):
+    # factor keeps its projector on the system, so a suite that kept every
+    # problem would hold every projector until it ends
+    solved = []
+    real_solve_row = eqflow.cli._solve_row
+
+    def solve_row(problem, cfg):
+        assert all(ref() is None for ref in solved)
+        solved.append(weakref.ref(problem.cs))
+        return real_solve_row(problem, cfg)
+
+    monkeypatch.setattr(eqflow.cli, "_solve_row", solve_row)
+    assert main(["suite", "--n", "24", "--only", "ex1,ex3,ex8"]) == 0
+    assert len(solved) == 3
 
 
 def test_suite_bad_n_exit_one(capsys):

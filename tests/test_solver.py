@@ -1,7 +1,6 @@
 """Solve loop: step/model/ratio arithmetic, statuses, invariants."""
 
 import dataclasses
-import importlib.util
 import math
 import os
 import subprocess
@@ -259,18 +258,13 @@ def test_solve_identity_mode_is_projected_descent(monkeypatch):
 
 
 def test_solve_deterministic_histories():
-    r1 = solve(build("ex5", 16))
+    problem = build("ex5", 16)
+    r1 = solve(problem)
     r2 = solve(build("ex5", 16))
-    assert r1.history == r2.history
-    assert np.array_equal(r1.x_star, r2.x_star)
-
-
-def _solve_digest():
-    spec = importlib.util.spec_from_file_location(
-        "result_digest", Path(__file__).resolve().parents[1] / "tools" / "result_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.solve_digest
+    r3 = solve(problem)  # again, on the projector factor kept for problem.cs
+    for r in (r2, r3):
+        assert r.history == r1.history
+        assert np.array_equal(r.x_star, r1.x_star)
 
 
 def test_one_factorization_serves_a_problem(monkeypatch):
@@ -285,16 +279,6 @@ def test_one_factorization_serves_a_problem(monkeypatch):
     moved = dataclasses.replace(problem, x0=problem.x0 + 0.5)
     assert solve(moved).status is Status.CONVERGED
     assert len(calls) == 1
-
-
-def test_solve_again_gives_the_same_bits():
-    # a solve on the kept projector repeats the first bit for bit, and
-    # equals a solve on a freshly built (freshly factored) problem
-    digest = _solve_digest()
-    problem = build("ex8", 120)
-    first = digest(solve(problem))
-    assert digest(solve(problem)) == first
-    assert digest(solve(build("ex8", 120))) == first
 
 
 def test_solve_iteration_cap():
