@@ -102,13 +102,10 @@ def cmd_suite(args) -> int:
         dims = {p: PAPER_DIMS[p] for p in ids}
     else:
         dims = {p: DESK_DIM for p in ids}
-    problems = [build(p, dims[p]) for p in ids]  # validates every n up front
 
     rows = []
-    while problems:
-        # popped, so each system and the projector factor keeps on it are
-        # freed once solved: peak memory holds one projector, not all
-        _, row = _solve_row(problems.pop(0), cfg)
+    for p in ids:
+        _, row = _solve_row(build(p, dims[p]), cfg)
         print(f"{row['problem']:>5s} n={row['n']:<6d} {row['status']:<18s} "
               f"f*={_fmt(row['f_star'])}  steps={row['accepted_steps']} "
               f"({row['wall_ms']:.1f} ms)", file=sys.stderr)

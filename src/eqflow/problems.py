@@ -26,8 +26,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .projection import (ConstraintSystem, CSRMatrix, factor, make_feasible,
-                         project_gradient)
+from .projection import ConstraintSystem, CSRMatrix, make_feasible, project_gradient
 
 
 class BadDimensionError(ValueError):
@@ -335,7 +334,7 @@ def gradient_check(problem: Problem, num_points: int = 10,
     """
     if num_points < 1:
         raise ValueError(f"num_points must be positive, got {num_points}")
-    proj = factor(problem.cs)
+    proj = problem.cs.projector
     base = make_feasible(proj, problem.x0)
     rng = np.random.default_rng(seed)
     n = problem.n

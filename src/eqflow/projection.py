@@ -17,7 +17,7 @@ so the package imports no scipy.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -46,7 +46,10 @@ def _starts(keys, size):
 
 def _vector(v, length, name="vector") -> np.ndarray:
     """v as a float array of shape (length,); callers that accept any shape
-    with length entries pass ``np.ravel(v)``."""
+    with length entries pass ``np.ravel(v)``. A complex v raises TypeError,
+    as its imaginary part would be lost."""
+    if np.iscomplexobj(v):
+        raise TypeError(f"{name} is complex; only real values are accepted")
     v = np.asarray(v, dtype=float)
     if v.shape != (length,):
         raise DimensionMismatchError(
@@ -71,11 +74,14 @@ class CSRMatrix:
     ``indices[indptr[i]:indptr[i + 1]]``. The form is canonical: within a
     row the columns increase strictly, so duplicate entries given to the
     constructor are summed, in the order given. Explicitly stored zeros
-    are kept. The constructor copies its arrays into read-only ones, so no
-    later change reaches the matrix. ``A @ x`` and ``A.T @ y`` take 1-D vectors.
+    are kept. Complex entries raise TypeError. The constructor copies its
+    arrays into read-only ones, so no later change reaches the matrix.
+    ``A @ x`` and ``A.T @ y`` take 1-D vectors.
     """
 
     def __init__(self, indptr, indices, data, shape):
+        if np.iscomplexobj(data):
+            raise TypeError("matrix entries are complex; only real values are accepted")
         m, n = (int(d) for d in shape)
         indptr = np.array(indptr, dtype=np.intp)
         indices = np.array(indices, dtype=np.intp)
@@ -108,7 +114,7 @@ class CSRMatrix:
         if hasattr(A, "tocsr"):
             c = A.tocsr()
             return cls(c.indptr, c.indices, c.data, c.shape)
-        a = np.asarray(A, dtype=float)
+        a = np.asarray(A)
         if a.ndim != 2:
             raise DimensionMismatchError(
                 f"constraint matrix must be 2-D, got shape {a.shape}")
@@ -163,16 +169,16 @@ class ConstraintSystem:
     ``b``. Every array of a system is a read-only copy, so no later change
     reaches a system once it is checked, and the caller's arrays are never
     changed. A NaN or infinite entry of ``A`` (a stored one, if sparse) or
-    of ``b`` raises :class:`NonFiniteError` naming it. Full row rank is
-    checked by :func:`factor`, not here. The system keeps the projector
-    that :func:`factor` computes for it at the first call, so
-    ``dataclasses.replace(cs, b=...)`` makes a system that is factored anew.
+    of ``b`` raises :class:`NonFiniteError` naming it. The system is then
+    factored by :func:`factor`, which checks full row rank: a rank-deficient
+    ``A`` raises :class:`RankDeficientError` naming its rows. ``cs.projector``
+    is the result, so ``dataclasses.replace(cs, b=...)`` makes a system that
+    is factored anew.
     """
 
     A: CSRMatrix
     b: np.ndarray
-    _projector: Optional["Projector"] = field(
-        default=None, init=False, repr=False, compare=False)
+    projector: "Projector" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = CSRMatrix.from_matrix(self.A)
@@ -188,6 +194,7 @@ class ConstraintSystem:
         _require_finite(b, lambda i: f"right-hand side entry b[{i}]")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "projector", factor(self))
 
     @property
     def m(self) -> int:
@@ -249,8 +256,8 @@ class Projector:
     ``groups`` holds one :class:`BlockGroup` per component shape; every
     constraint row lies in exactly one group, and variables that appear in
     no constraint lie in none (the projections leave them unchanged).
-    Every array of a group is read-only, so the projector that
-    :func:`factor` keeps for a system is safe for concurrent read-only use.
+    Every array of a group is read-only, so a system's projector is safe
+    for concurrent read-only use.
     """
 
     n: int
@@ -288,11 +295,9 @@ def _column_components(n, starts, cols, rows) -> np.ndarray:
 def factor(cs: ConstraintSystem) -> Projector:
     """Factor A^T = Q R by Householder reflections, one component at a time.
 
-    The first call on a system computes its projector and keeps it on the
-    system; every later call returns that same projector. A system that is
-    rank deficient keeps nothing and raises at every call. Threads that
-    make the first call at once may each compute the projector; one is
-    kept, and the others are equal to it.
+    :class:`ConstraintSystem` calls it once, when the system is made, and
+    keeps the result as ``cs.projector``; a later call computes an equal
+    projector anew.
 
     The connected components of the bipartite row/column graph of A are
     grouped by shape (r rows, c columns), and each group's stacked (k, c, r)
@@ -315,8 +320,6 @@ def factor(cs: ConstraintSystem) -> Projector:
         maximum taken over that component's R.
         The message names the rows of the offending component.
     """
-    if cs._projector is not None:
-        return cs._projector
     a = cs.A
     m, n = a.shape
     empty = np.flatnonzero(np.diff(a.indptr) == 0)
@@ -389,8 +392,7 @@ def factor(cs: ConstraintSystem) -> Projector:
         for arr in (q, rr, b_r):
             arr.flags.writeable = False
         groups.append(BlockGroup(rows=rows, at=at, q=q, r=rr, b_r=b_r))
-    object.__setattr__(cs, "_projector", Projector(n=n, m=m, groups=tuple(groups)))
-    return cs._projector
+    return Projector(n=n, m=m, groups=tuple(groups))
 
 
 def _to_null_space(p: Projector, v, shifted: bool) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .direction import CurvaturePair, direction
-from .projection import factor, make_feasible, multipliers, project_gradient, residuals
+from .projection import make_feasible, multipliers, project_gradient, residuals
 
 # Trust-region constants of the time step. A trial is accepted when its
 # ratio rho exceeds _ETA_A. dt grows by _GAMMA1 when |1 - rho| <= _ETA1,
@@ -190,7 +190,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
     cfg = config if config is not None else SolverConfig()
     cfg.validate()
 
-    proj = factor(problem.cs)
+    proj = problem.cs.projector
     b = problem.cs.b
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
 

@@ -5,8 +5,20 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from eqflow import factor, make_feasible, project_gradient
+from eqflow import make_feasible, project_gradient
 from eqflow.direction import CurvaturePair, curvature_gate
+
+
+def dense_projection(A) -> np.ndarray:
+    """The n-by-n projector I - A^T (A A^T)^{-1} A onto the null space of A."""
+    A = np.asarray(A, float)
+    return np.eye(A.shape[1]) - A.T @ np.linalg.inv(A @ A.T) @ A
+
+
+def dense_feasible(A, b, x0) -> np.ndarray:
+    """The point of Ax = b closest to x0, by one dense solve."""
+    A = np.asarray(A, float)
+    return x0 - A.T @ np.linalg.solve(A @ A.T, A @ x0 - b)
 
 
 def dense_h(pair: Optional[CurvaturePair], n: int) -> np.ndarray:
@@ -91,7 +103,7 @@ def grouped_check_errors(problem, num_points: int, seed: int) -> np.ndarray:
     that point alone (2n objective calls without it), after one call that
     counts the blocks.
     """
-    proj = factor(problem.cs)
+    proj = problem.cs.projector
     base = make_feasible(proj, problem.x0)
     rng = np.random.default_rng(seed)
     n = problem.n

@@ -17,7 +17,7 @@ from eqflow import (ConstraintSystem, PAPER_DIMS, PROBLEM_IDS, Status, build,
                     factor, make_feasible, project_gradient, solve)
 from eqflow.cli import main
 from eqflow.direction import CurvaturePair, curvature_gate, direction
-from oracles import dense_h, ex8_block_minimum
+from oracles import dense_feasible, dense_h, dense_projection, ex8_block_minimum
 
 DESK_N = 120
 
@@ -65,7 +65,7 @@ def test_criterion_1_projector_properties():
         p = factor(ConstraintSystem(A=A, b=rng.standard_normal(m)))
         pg = project_gradient(p, g)
         gn = np.linalg.norm(g)
-        oracle = g - A.T @ np.linalg.solve(A @ A.T, A @ g)
+        oracle = dense_projection(A) @ g
         ok &= np.linalg.norm(project_gradient(p, pg) - pg) <= 1e-10 * gn
         ok &= np.linalg.norm(A @ pg) <= 1e-10 * gn
         ok &= np.linalg.norm(pg) <= gn * (1.0 + 1e-12)
@@ -226,12 +226,9 @@ def test_criterion_7_invariants_during_solves():
                 break
         # stationarity measures agree: ||g + A^T lam||_inf == ||Pg||_inf
         g = problem.gradient(result.x_star)
-        lam = -np.linalg.solve(A @ A.T, A @ g)
-        kkt_dense = float(np.max(np.abs(g + A.T @ lam)))
-        pg_dense = float(np.max(np.abs(g - A.T @ np.linalg.solve(A @ A.T, A @ g))))
+        pg_dense = float(np.max(np.abs(dense_projection(A) @ g)))
         scale = max(1.0, float(np.max(np.abs(g))))
-        if (abs(result.kkt_inf - kkt_dense) > 1e-9 * scale
-                or abs(result.kkt_inf - pg_dense) > 1e-9 * scale):
+        if abs(result.kkt_inf - pg_dense) > 1e-9 * scale:
             ok = False
             bad.append(f"{pid}:kkt")
     _report(7, "runtime invariants at desk scale (all ten problems)", ok,
@@ -258,7 +255,7 @@ def test_criterion_9_infeasible_start_projection():
         b = problem.cs.b
         xf = make_feasible(factor(problem.cs), problem.x0)
         feas = float(np.max(np.abs(A @ xf - b)))
-        oracle = problem.x0 - A.T @ np.linalg.solve(A @ A.T, A @ problem.x0 - b)
+        oracle = dense_feasible(A, b, problem.x0)
         good = (feas <= 1e-10 * (1.0 + np.max(np.abs(b)))
                 and np.max(np.abs(xf - oracle)) <= 1e-9)
         ok &= good

@@ -122,8 +122,8 @@ def test_suite_deterministic_bytes(tmp_path):
 
 
 def test_suite_frees_each_system_once_solved(monkeypatch):
-    # factor keeps its projector on the system, so a suite that kept every
-    # problem would hold every projector until it ends
+    # each system keeps its projector, so a suite that kept every problem
+    # would hold every projector until it ends
     solved = []
     real_solve_row = eqflow.cli._solve_row
 
@@ -137,8 +137,15 @@ def test_suite_frees_each_system_once_solved(monkeypatch):
     assert len(solved) == 3
 
 
-def test_suite_bad_n_exit_one(capsys):
+def test_suite_bad_n_exit_one(capsys, tmp_path):
     assert main(["suite", "--n", "10", "--only", "ex3"]) == 1
+    # ex1 fits n = 10 and is solved first; ex2 does not, so no report is written
+    out = tmp_path / "suite.csv"
+    assert main(["suite", "--n", "10"]) == 1
+    assert main(["suite", "--n", "10", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ex2 needs n" in captured.err
+    assert not out.exists()
 
 
 def test_suite_unknown_only_exit_one(capsys):

@@ -17,20 +17,11 @@ from scipy.sparse.csgraph import connected_components
 
 from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, ConstraintSystem,
                     CSRMatrix, DimensionMismatchError, NonFiniteError,
-                    RankDeficientError, build, factor, make_feasible,
+                    Projector, RankDeficientError, build, factor, make_feasible,
                     multipliers, project_gradient, residuals)
 from eqflow.projection import _RANK_GATE, _column_components
-from oracles import gathered_multipliers, gathered_to_null_space, group_columns
-
-
-def dense_projection(A):
-    A = np.asarray(A, float)
-    return np.eye(A.shape[1]) - A.T @ np.linalg.inv(A @ A.T) @ A
-
-
-def dense_feasible(A, b, x0):
-    A = np.asarray(A, float)
-    return x0 - A.T @ np.linalg.solve(A @ A.T, A @ x0 - b)
+from oracles import (dense_feasible, dense_projection, gathered_multipliers,
+                     gathered_to_null_space, group_columns)
 
 
 def random_system(rng, n_max=50):
@@ -163,76 +154,64 @@ def test_factor_general_dense_matches_oracle():
 
 
 def test_factor_rank_deficient():
-    cs = ConstraintSystem(A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]),
-                          b=np.zeros(2))
-    with pytest.raises(RankDeficientError):
-        factor(cs)
+    # the rank is checked when a system is made, so no unfactorable
+    # system exists, and every attempt raises
+    for _ in range(2):
+        with pytest.raises(RankDeficientError, match=r"rows \[0, 1\]"):
+            ConstraintSystem(A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]),
+                             b=np.zeros(2))
     rng = np.random.default_rng(31)
     _, A = block_system(rng, [(1, 2), (2, 3), (1, 3)], free=2)
     zero_row = np.vstack([A, np.zeros(A.shape[1])])
     with pytest.raises(RankDeficientError, match=r"row\(s\) \[4\]"):
-        factor(ConstraintSystem(A=sp.csr_matrix(zero_row), b=np.zeros(5)))
+        ConstraintSystem(A=sp.csr_matrix(zero_row), b=np.zeros(5))
     # a stored zero keeps the row in a block; the rank gate then rejects it
     csr = sp.csr_matrix(zero_row)
     stored = sp.csr_matrix((np.append(csr.data, 0.0), np.append(csr.indices, 0),
                             np.append(csr.indptr[:-1], csr.nnz + 1)),
                            shape=zero_row.shape)
     with pytest.raises(RankDeficientError):
-        factor(ConstraintSystem(A=stored, b=np.zeros(5)))
+        ConstraintSystem(A=stored, b=np.zeros(5))
     # two dependent rows inside one 2x3 block
     block = np.zeros((3, 6))
     block[0, :2] = (1.0, 1.0)
     block[1:, 2:5] = ((1.0, 2.0, 1.0), (2.0, 4.0, 2.0))
     with pytest.raises(RankDeficientError, match=r"rows \[1, 2\]"):
-        factor(ConstraintSystem(A=sp.csr_matrix(block), b=np.zeros(3)))
+        ConstraintSystem(A=sp.csr_matrix(block), b=np.zeros(3))
     # a component with more rows than variables
     tall = np.zeros((3, 5))
     tall[:, :2] = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
     with pytest.raises(RankDeficientError, match=r"rows \[0, 1, 2\]"):
-        factor(ConstraintSystem(A=tall, b=np.zeros(3)))
+        ConstraintSystem(A=tall, b=np.zeros(3))
 
 
-def test_factor_keeps_one_projector_per_system():
+def test_system_keeps_its_projector():
     cs = build("ex1", 12).cs
-    assert factor(cs) is factor(cs)
-    # a system made by replace is a new system: it factors anew, for its b
+    assert isinstance(cs.projector, Projector)
+    # a system made by replace is a new system, factored anew for its b
     doubled = dataclasses.replace(cs, b=2 * cs.b)
-    p = factor(doubled)
-    assert p is not factor(cs) and p is factor(doubled)
-    x = make_feasible(p, np.zeros(cs.n))
-    assert_allclose(doubled.A @ x, doubled.b, atol=1e-12)
-    assert_allclose(cs.A @ make_feasible(factor(cs), np.zeros(cs.n)), cs.b, atol=1e-12)
-
-
-def test_rank_deficient_system_raises_at_every_call(monkeypatch):
-    # nothing is kept for a system that fails: each call factors and raises
-    cs = ConstraintSystem(A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]),
-                          b=np.zeros(2))
-    calls = []
-    real_qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *a: calls.append(1) or real_qr(*a))
-    for expected_calls in (1, 2):
-        with pytest.raises(RankDeficientError):
-            factor(cs)
-        assert len(calls) == expected_calls
+    assert doubled.projector is not cs.projector
+    for system in (cs, doubled):
+        x = make_feasible(system.projector, np.zeros(cs.n))
+        assert_allclose(system.A @ x, system.b, atol=1e-12)
 
 
 @pytest.mark.parametrize("index", [slice, np.ndarray])
 def test_projector_arrays_are_read_only(index):
-    # factor keeps one projector per system, so a write to one of its
-    # arrays would reach every later solve on that system
+    # a system keeps its projector, so a write to one of its arrays
+    # would reach every later solve on that system
     cs = build("ex8", DESK_DIM).cs
     if index is np.ndarray:
         perm = np.random.default_rng(4).permutation(cs.n)
         cs = ConstraintSystem(A=cs.A.toarray()[:, perm], b=cs.b)
-    grp, = factor(cs).groups
+    grp, = cs.projector.groups
     assert isinstance(grp.at, index)
     indexes = [grp.at] if index is np.ndarray else []
     for array in [grp.q, grp.r, grp.b_r, grp.rows] + indexes:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = np.nan
     g = np.random.default_rng(5).standard_normal(cs.n)
-    assert np.all(np.isfinite(project_gradient(factor(cs), g)))
+    assert np.all(np.isfinite(project_gradient(cs.projector, g)))
 
 
 def test_factor_rank_gate_per_component():
@@ -251,11 +230,11 @@ def test_factor_rank_gate_per_component():
     pair[0, :2] = 1e8
     pair[1:, 2:5] = 1e-8 * np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0]])
     with pytest.raises(RankDeficientError, match=r"rows \[1, 2\]"):
-        factor(ConstraintSystem(A=sp.csr_matrix(pair), b=np.zeros(3)))
+        ConstraintSystem(A=sp.csr_matrix(pair), b=np.zeros(3))
     stored = sp.csr_matrix((np.array([1e8, 1e8, 0.0]), np.array([0, 1, 2]),
                             np.array([0, 2, 3])), shape=(2, 4))
     with pytest.raises(RankDeficientError, match=r"rows \[1\]"):
-        factor(ConstraintSystem(A=stored, b=np.zeros(2)))
+        ConstraintSystem(A=stored, b=np.zeros(2))
 
 
 def test_component_labels_match_csgraph():
@@ -330,6 +309,29 @@ def test_constraint_system_non_finite_entries():
     with pytest.raises(NonFiniteError, match=r"b\[1\] = nan"):
         ConstraintSystem(A=A, b=np.array([1.0, np.nan]))
     assert issubclass(NonFiniteError, ValueError)
+
+
+# a float conversion would drop the imaginary part with only a warning, so
+# a complex A, b or x0 raises TypeError naming it
+
+def test_complex_matrix_raises():
+    A = np.array([[1.0, 1.0 + 2.0j]])
+    for form in (A, sp.csr_matrix(A)):
+        with pytest.raises(TypeError, match="matrix entries are complex"):
+            ConstraintSystem(A=form, b=np.array([4.0]))
+    with pytest.raises(TypeError, match="matrix entries are complex"):
+        CSRMatrix([0, 2], [0, 1], A[0], (1, 2))
+
+
+def test_complex_right_hand_side_raises():
+    with pytest.raises(TypeError, match="right-hand side is complex"):
+        ConstraintSystem(A=np.array([[1.0, 1.0]]), b=[4.0 + 1.0j])
+
+
+def test_complex_start_point_raises():
+    p = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0])).projector
+    with pytest.raises(TypeError, match="initial point is complex"):
+        make_feasible(p, [1.0 + 2.0j, 0.0])
 
 
 def test_constraint_system_copies_b():
@@ -409,7 +411,7 @@ def test_csr_form_matches_scipy():
     x, y = rng.standard_normal(9), rng.standard_normal(6)
     for A, ref in _messy_inputs(rng):
         before = _snapshot(A)
-        a = ConstraintSystem(A=A, b=np.zeros(6)).A
+        a = CSRMatrix.from_matrix(A)
         assert isinstance(a, CSRMatrix) and a.shape == (6, 9)
         for got, want in zip(_snapshot(A), before):  # the caller's matrix
             assert got.tobytes() == want.tobytes()
@@ -425,6 +427,17 @@ def test_csr_form_matches_scipy():
             a @ y
         with pytest.raises(DimensionMismatchError):
             a.T @ x
+    # a system converts its A the same way; unsorted columns and a
+    # duplicate entry, in a full-rank scipy matrix
+    raw = sp.csr_matrix((np.array([2.0, 1.0, 0.5, 3.0, 0.5]), np.array([2, 0, 2, 1, 0]),
+                         np.array([0, 3, 5])), shape=(2, 3))
+    before = _snapshot(raw)
+    a = ConstraintSystem(A=raw, b=np.zeros(2)).A
+    for got, want in zip(_snapshot(raw), before):
+        assert got.tobytes() == want.tobytes()
+    assert_array_equal(a.indptr, [0, 2, 4])
+    assert_array_equal(a.indices, [0, 2, 0, 1])
+    assert_array_equal(a.data, [1.0, 2.5, 0.5, 3.0])
     with pytest.raises(DimensionMismatchError):
         CSRMatrix([0, 1, 2], [0, 3], [1.0, 1.0], (2, 3))  # column 3 of 3
     with pytest.raises(DimensionMismatchError):
@@ -718,12 +731,11 @@ def nearly_dependent_pairs(draw):
 @given(nearly_dependent_pairs())
 def test_rank_gate_on_nearly_dependent_rows(case):
     A, basis, rel_delta, below, g = case
-    cs = ConstraintSystem(A=sp.csr_matrix(A), b=np.zeros(2))
     if below:
         with pytest.raises(RankDeficientError, match=r"rows \[0, 1\]"):
-            factor(cs)
+            ConstraintSystem(A=sp.csr_matrix(A), b=np.zeros(2))
         return
-    pg = project_gradient(factor(cs), g)
+    pg = project_gradient(ConstraintSystem(A=sp.csr_matrix(A), b=np.zeros(2)).projector, g)
     # null(A) = null(basis), and basis is well conditioned; the projection
     # is as accurate as the condition of A, |a| / delta, allows
     n, eps, gnorm = A.shape[1], np.finfo(float).eps, np.linalg.norm(g)

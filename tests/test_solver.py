@@ -261,7 +261,7 @@ def test_solve_deterministic_histories():
     problem = build("ex5", 16)
     r1 = solve(problem)
     r2 = solve(build("ex5", 16))
-    r3 = solve(problem)  # again, on the projector factor kept for problem.cs
+    r3 = solve(problem)  # again, on the projector problem.cs keeps
     for r in (r2, r3):
         assert r.history == r1.history
         assert np.array_equal(r.x_star, r1.x_star)

@@ -6,7 +6,7 @@ sizes (20 solves) and runs ``gradient_check`` (ten points, seeds 0 and 7)
 on the same 20 problems, and on ex1 and ex8 at n = 120 without
 ``block_values``, where the check differences the whole objective. It
 then solves the 20 problems again on the same ``Problem`` objects, so on
-the projector that ``factor`` kept for each system; each of these lines
+the projector each system computed when it was made; each of these lines
 must equal the first solve's. Every benchmark problem's block groups
 index their variables by a slice, so it also runs ``project_gradient``,
 ``make_feasible`` and ``multipliers`` on systems whose groups take the
