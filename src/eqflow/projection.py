@@ -48,9 +48,11 @@ def _vector(v, length, name="vector") -> np.ndarray:
     """v as a float array of shape (length,); callers that accept any shape
     with length entries pass ``np.ravel(v)``. A complex v raises TypeError,
     as its imaginary part would be lost."""
-    if np.iscomplexobj(v):
-        raise TypeError(f"{name} is complex; only real values are accepted")
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v)
+    if v.dtype != float:
+        if v.dtype.kind == "c":
+            raise TypeError(f"{name} is complex; only real values are accepted")
+        v = v.astype(float)
     if v.shape != (length,):
         raise DimensionMismatchError(
             f"{name} has shape {v.shape}, expected ({length},)")

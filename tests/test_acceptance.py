@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from eqflow import (ConstraintSystem, PAPER_DIMS, PROBLEM_IDS, Status, build,
-                    factor, make_feasible, project_gradient, solve)
+                    make_feasible, project_gradient, solve)
 from eqflow.cli import main
 from eqflow.direction import CurvaturePair, curvature_gate, direction
 from oracles import dense_feasible, dense_h, dense_projection, ex8_block_minimum
@@ -62,7 +62,7 @@ def test_criterion_1_projector_properties():
         m = int(rng.integers(1, n))
         A = rng.standard_normal((m, n))
         g = rng.standard_normal(n)
-        p = factor(ConstraintSystem(A=A, b=rng.standard_normal(m)))
+        p = ConstraintSystem(A=A, b=rng.standard_normal(m)).projector
         pg = project_gradient(p, g)
         gn = np.linalg.norm(g)
         oracle = dense_projection(A) @ g
@@ -253,7 +253,7 @@ def test_criterion_9_infeasible_start_projection():
         problem = build(pid, DESK_N)
         A = np.asarray(problem.cs.A.toarray())
         b = problem.cs.b
-        xf = make_feasible(factor(problem.cs), problem.x0)
+        xf = make_feasible(problem.cs.projector, problem.x0)
         feas = float(np.max(np.abs(A @ xf - b)))
         oracle = dense_feasible(A, b, problem.x0)
         good = (feas <= 1e-10 * (1.0 + np.max(np.abs(b)))

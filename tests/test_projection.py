@@ -188,6 +188,11 @@ def test_factor_rank_deficient():
 def test_system_keeps_its_projector():
     cs = build("ex1", 12).cs
     assert isinstance(cs.projector, Projector)
+    # factor computes an equal projector anew
+    (kept,), (again,) = cs.projector.groups, factor(cs).groups
+    assert again is not kept
+    for name in ("q", "r", "b_r"):
+        assert getattr(again, name).tobytes() == getattr(kept, name).tobytes()
     # a system made by replace is a new system, factored anew for its b
     doubled = dataclasses.replace(cs, b=2 * cs.b)
     assert doubled.projector is not cs.projector
