@@ -46,8 +46,7 @@ def _starts(keys, size):
 
 def _vector(v, length, name="vector") -> np.ndarray:
     """v as a float array of shape (length,); callers that accept any shape
-    with length entries pass ``np.ravel(v)``. A complex v raises TypeError,
-    as its imaginary part would be lost."""
+    with length entries pass ``np.ravel(v)``. A complex v raises TypeError."""
     v = np.asarray(v)
     if v.dtype != float:
         if v.dtype.kind == "c":
@@ -171,11 +170,10 @@ class ConstraintSystem:
     ``b``. Every array of a system is a read-only copy, so no later change
     reaches a system once it is checked, and the caller's arrays are never
     changed. A NaN or infinite entry of ``A`` (a stored one, if sparse) or
-    of ``b`` raises :class:`NonFiniteError` naming it. The system is then
-    factored by :func:`factor`, which checks full row rank: a rank-deficient
-    ``A`` raises :class:`RankDeficientError` naming its rows. ``cs.projector``
-    is the result, so ``dataclasses.replace(cs, b=...)`` makes a system that
-    is factored anew.
+    of ``b`` raises :class:`NonFiniteError` naming it. ``cs.projector`` is
+    then :func:`factor`'s projector of the system: a rank-deficient ``A``
+    raises :class:`RankDeficientError` naming its rows, and
+    ``dataclasses.replace(cs, b=...)`` makes a system that is factored anew.
     """
 
     A: CSRMatrix
