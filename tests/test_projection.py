@@ -155,11 +155,10 @@ def test_factor_general_dense_matches_oracle():
 
 def test_factor_rank_deficient():
     # the rank is checked when a system is made, so no unfactorable
-    # system exists, and every attempt raises
-    for _ in range(2):
-        with pytest.raises(RankDeficientError, match=r"rows \[0, 1\]"):
-            ConstraintSystem(A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]),
-                             b=np.zeros(2))
+    # system exists
+    with pytest.raises(RankDeficientError, match=r"rows \[0, 1\]"):
+        ConstraintSystem(A=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]),
+                         b=np.zeros(2))
     rng = np.random.default_rng(31)
     _, A = block_system(rng, [(1, 2), (2, 3), (1, 3)], free=2)
     zero_row = np.vstack([A, np.zeros(A.shape[1])])
@@ -199,6 +198,19 @@ def test_system_keeps_its_projector():
     for system in (cs, doubled):
         x = make_feasible(system.projector, np.zeros(cs.n))
         assert_allclose(system.A @ x, system.b, atol=1e-12)
+
+
+def test_rank_deficient_system_raises_at_every_call(monkeypatch):
+    # nothing is kept for a system that fails: each construction factors
+    # and raises
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+    calls = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a: calls.append(1) or real_qr(*a))
+    for expected_calls in (1, 2):
+        with pytest.raises(RankDeficientError, match=r"rows \[0, 1\]"):
+            ConstraintSystem(A=A, b=np.zeros(2))
+        assert len(calls) == expected_calls
 
 
 @pytest.mark.parametrize("index", [slice, np.ndarray])
