@@ -4,16 +4,15 @@ from .problems import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, BadDimensionError,
                        GradientCheckReport, Problem, build, gradient_check,
                        known_optima)
 from .projection import (ConstraintSystem, CSRMatrix, DimensionMismatchError,
-                         NonFiniteError, Projector, RankDeficientError, factor,
-                         make_feasible, multipliers, project_gradient,
-                         residuals)
+                         NonFiniteError, RankDeficientError, make_feasible,
+                         multipliers, project_gradient, residuals)
 from .solver import IterationRecord, SolveResult, SolverConfig, Status, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstraintSystem", "CSRMatrix", "Projector", "factor", "project_gradient",
-    "make_feasible", "multipliers", "residuals",
+    "ConstraintSystem", "CSRMatrix", "project_gradient", "make_feasible",
+    "multipliers", "residuals",
     "DimensionMismatchError", "NonFiniteError", "RankDeficientError",
     "SolverConfig", "SolveResult", "IterationRecord", "Status", "solve",
     "Problem", "build", "gradient_check", "known_optima",

@@ -57,7 +57,7 @@ def direction(pg, pair: Optional[CurvaturePair]) -> np.ndarray:
     """Return d = -H @ pg for the gated rank-two H (identity if gate fails),
     assembled in place as the module docstring says."""
     if not curvature_gate(pair):
-        return -np.asarray(pg, dtype=float)
+        return -_vector(pg, np.size(pg), "projected gradient")
     pg = _vector(pg, pair.s.size, "projected gradient")
     c = pair.s_dot_y
     s_pg = float(pair.s @ pg)

@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .projection import ConstraintSystem, CSRMatrix, make_feasible, project_gradient
+from .projection import (ConstraintSystem, CSRMatrix, _start_point, _vector,
+                         make_feasible, project_gradient)
 
 
 class BadDimensionError(ValueError):
@@ -48,7 +49,8 @@ class Problem:
     points, an ``(..., n)`` array, and maps it to ``(..., n/w)``, each row
     bit for bit that of its point alone: ``gradient_check`` passes
     ``(rows, n)`` stacks. ``build`` sets it; a problem without it is one
-    block of width n to ``gradient_check``.
+    block of width n to ``gradient_check``. ``x0`` is checked as
+    ``make_feasible`` checks it and kept as a read-only float copy.
     """
 
     name: str
@@ -57,6 +59,11 @@ class Problem:
     cs: ConstraintSystem
     x0: np.ndarray
     block_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        x0 = _start_point(self.x0, self.n).copy()
+        x0.flags.writeable = False
+        object.__setattr__(self, "x0", x0)
 
     @property
     def n(self) -> int:
@@ -334,8 +341,8 @@ def gradient_check(problem: Problem, num_points: int = 10,
     """
     if num_points < 1:
         raise ValueError(f"num_points must be positive, got {num_points}")
-    proj = problem.cs.projector
-    base = make_feasible(proj, problem.x0)
+    cs = problem.cs
+    base = make_feasible(cs, problem.x0)
     rng = np.random.default_rng(seed)
     n = problem.n
     rows = max(1, _STACK // n)
@@ -346,12 +353,9 @@ def gradient_check(problem: Problem, num_points: int = 10,
         stack = (min(rows, num_points - start), n)
         x, g = np.empty(stack), np.empty(stack)
         for r in range(stack[0]):
-            if start + r == 0:
-                x[r] = base
-            else:
-                np.add(base, project_gradient(proj, rng.normal(scale=0.25, size=n)),
-                       out=x[r])
-            g[r] = problem.gradient(x[r])
+            x[r] = base if start + r == 0 else base + project_gradient(
+                cs, rng.normal(scale=0.25, size=n))
+            g[r] = _vector(np.ravel(problem.gradient(x[r])), n, "gradient")
         if w is None:
             w = n // _stack_values(problem.name, values, x, None).shape[1]
         # flattened, the stack holds entry i of every block of every point

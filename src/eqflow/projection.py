@@ -171,9 +171,9 @@ class ConstraintSystem:
     reaches a system once it is checked, and the caller's arrays are never
     changed. A NaN or infinite entry of ``A`` (a stored one, if sparse) or
     of ``b`` raises :class:`NonFiniteError` naming it. ``cs.projector`` is
-    then :func:`factor`'s projector of the system: a rank-deficient ``A``
-    raises :class:`RankDeficientError` naming its rows, and
-    ``dataclasses.replace(cs, b=...)`` makes a system that is factored anew.
+    then its :class:`Projector`, which the projection functions read: a
+    rank-deficient ``A`` raises :class:`RankDeficientError` naming its rows,
+    and ``dataclasses.replace(cs, b=...)`` makes a system factored anew.
     """
 
     A: CSRMatrix
@@ -251,7 +251,7 @@ class BlockGroup:
 
 @dataclass(frozen=True)
 class Projector:
-    """Immutable component-wise QR factors of A^T.
+    """Immutable component-wise QR factors of A^T, held as ``cs.projector``.
 
     ``groups`` holds one :class:`BlockGroup` per component shape; every
     constraint row lies in exactly one group, and variables that appear in
@@ -260,8 +260,6 @@ class Projector:
     for concurrent read-only use.
     """
 
-    n: int
-    m: int
     groups: Tuple[BlockGroup, ...]
 
 
@@ -293,11 +291,10 @@ def _column_components(n, starts, cols, rows) -> np.ndarray:
 
 
 def factor(cs: ConstraintSystem) -> Projector:
-    """Factor A^T = Q R by Householder reflections, one component at a time.
+    """Factor cs.A^T = Q R by Householder reflections, one component at a time.
 
     :class:`ConstraintSystem` calls it once, when the system is made, and
-    keeps the result as ``cs.projector``; a later call computes an equal
-    projector anew.
+    keeps the result as ``cs.projector``; the package does not export it.
 
     The connected components of the bipartite row/column graph of A are
     grouped by shape (r rows, c columns), and each group's stacked (k, c, r)
@@ -305,11 +302,6 @@ def factor(cs: ConstraintSystem) -> Projector:
     of the rows and one of the used columns by (group, component) make each
     group one run of each: groups in increasing (r, c), components by their
     smallest column, and each component's rows and columns increasing.
-
-    Parameters
-    ----------
-    cs : ConstraintSystem
-        Constraints to factor.
 
     Raises
     ------
@@ -320,8 +312,7 @@ def factor(cs: ConstraintSystem) -> Projector:
         maximum taken over that component's R.
         The message names the rows of the offending component.
     """
-    a = cs.A
-    m, n = a.shape
+    a, n = cs.A, cs.n
     empty = np.flatnonzero(np.diff(a.indptr) == 0)
     if empty.size:
         raise RankDeficientError(
@@ -392,43 +383,48 @@ def factor(cs: ConstraintSystem) -> Projector:
         for arr in (q, rr, b_r):
             arr.flags.writeable = False
         groups.append(BlockGroup(rows=rows, at=at, q=q, r=rr, b_r=b_r))
-    return Projector(n=n, m=m, groups=tuple(groups))
+    return Projector(groups=tuple(groups))
 
 
-def _to_null_space(p: Projector, v, shifted: bool) -> np.ndarray:
-    """v - Q (Q^T v - t) over every group, with t each group's b_r when
-    shifted and 0 otherwise."""
+def _to_null_space(cs: ConstraintSystem, v, shifted: bool) -> np.ndarray:
+    """v - Q (Q^T v - t) over every group of cs, with t each group's b_r
+    when shifted and 0 otherwise."""
     out = v.copy()
-    for grp in p.groups:
+    for grp in cs.projector.groups:
         coef = grp.coefficients(v)
         out[grp.at] -= grp.expand(coef - grp.b_r if shifted else coef).reshape(-1)
     return out
 
 
-def project_gradient(p: Projector, g) -> np.ndarray:
-    """Project g onto the null space of A (the component with A @ Pg = 0)."""
-    return _to_null_space(p, _vector(np.ravel(g), p.n, "gradient"), False)
+def _start_point(x0, n) -> np.ndarray:
+    """x0, n real and finite entries, as a float array of shape (n,)."""
+    x0 = _vector(np.ravel(x0), n, "initial point")
+    _require_finite(x0, lambda i: f"initial point entry x0[{i}]")
+    return x0
 
 
-def make_feasible(p: Projector, x0) -> np.ndarray:
-    """Return the feasible point closest to x0 in the Euclidean norm.
+def project_gradient(cs: ConstraintSystem, g) -> np.ndarray:
+    """Project g onto the null space of cs.A (the component with A @ Pg = 0)."""
+    return _to_null_space(cs, _vector(np.ravel(g), cs.n, "gradient"), False)
+
+
+def make_feasible(cs: ConstraintSystem, x0) -> np.ndarray:
+    """Return the point of cs (Ax = b) closest to x0 in the Euclidean norm.
 
     A NaN or infinite entry of x0 raises :class:`NonFiniteError` naming it.
     """
-    x0 = _vector(np.ravel(x0), p.n, "initial point")
-    _require_finite(x0, lambda i: f"initial point entry x0[{i}]")
-    return _to_null_space(p, x0, True)
+    return _to_null_space(cs, _start_point(x0, cs.n), True)
 
 
-def multipliers(p: Projector, g) -> np.ndarray:
+def multipliers(cs: ConstraintSystem, g) -> np.ndarray:
     """Lagrange multipliers lam = -(A A^T)^{-1} A g, one block at a time.
 
     Satisfies g + A^T lam = Pg, which makes the stationarity residual
     ``||g + A^T lam||`` identical to ``||Pg||``.
     """
-    g = _vector(np.ravel(g), p.n, "gradient")
-    lam = np.empty(p.m)
-    for grp in p.groups:
+    g = _vector(np.ravel(g), cs.n, "gradient")
+    lam = np.empty(cs.m)
+    for grp in cs.projector.groups:
         lam[grp.rows] = -np.linalg.solve(grp.r, grp.coefficients(g)[..., None])[..., 0]
     return lam
 

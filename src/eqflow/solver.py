@@ -23,7 +23,8 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .direction import CurvaturePair, direction
-from .projection import make_feasible, multipliers, project_gradient, residuals
+from .projection import (_vector, make_feasible, multipliers, project_gradient,
+                         residuals)
 
 # Trust-region constants of the time step. A trial is accepted when its
 # ratio rho exceeds _ETA_A. dt grows by _GAMMA1 when |1 - rho| <= _ETA1,
@@ -105,8 +106,8 @@ class SolveResult:
 
 
 def trial_step(dt: float, d) -> np.ndarray:
-    """Scale the direction by dt/(1+dt); the factor lies in (0, 1)."""
-    return (dt / (1.0 + dt)) * np.asarray(d, dtype=float)
+    """Scale the float direction d by dt/(1+dt); the factor lies in (0, 1)."""
+    return (dt / (1.0 + dt)) * d
 
 
 def model_decrease(dt: float, g, s) -> float:
@@ -168,10 +169,10 @@ def solve(problem, config: Optional[SolverConfig] = None,
     ----------
     problem
         Anything with ``objective(x) -> float``, ``gradient(x) -> array``,
-        a ``cs`` ConstraintSystem and an initial point ``x0``. The initial
-        point may be infeasible; it is projected onto the constraint set
-        before the first evaluation. A NaN or infinite entry of ``x0``
-        raises :class:`NonFiniteError` naming it.
+        a ``cs`` ConstraintSystem and an initial point ``x0``, which
+        :func:`make_feasible` checks and projects onto Ax = b before the
+        first evaluation. A complex gradient raises TypeError, and one
+        without n entries :class:`DimensionMismatchError`.
     config : SolverConfig, optional
         Tolerance, initial time step and iteration cap; validated defaults
         are used when omitted.
@@ -190,9 +191,8 @@ def solve(problem, config: Optional[SolverConfig] = None,
     cfg = config if config is not None else SolverConfig()
     cfg.validate()
 
-    proj = problem.cs.projector
-    b = problem.cs.b
-    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
+    cs = problem.cs
+    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(cs.b))))
 
     n_g = 0
 
@@ -201,10 +201,10 @@ def solve(problem, config: Optional[SolverConfig] = None,
         when g is not finite. Counts each gradient and tests it once."""
         nonlocal n_g
         n_g += 1
-        gv = np.asarray(problem.gradient(xv), dtype=float)
-        return gv, (project_gradient(proj, gv) if _finite(gv) else None)
+        gv = _vector(np.ravel(problem.gradient(xv)), cs.n, "gradient")
+        return gv, (project_gradient(cs, gv) if _finite(gv) else None)
 
-    x = make_feasible(proj, problem.x0)
+    x = make_feasible(cs, problem.x0)
     f = float(problem.objective(x))
     g, pg = gradients(x)
 
@@ -219,7 +219,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
             # Once per adopted point (the start or an accepted step): a rejected
             # trial keeps x, g and pg, so the checks, the norms and d carry over.
             if not (math.isfinite(f) and pg is not None
-                    and float(np.abs(problem.cs.A @ x - b).max()) <= feas_tol):
+                    and float(np.abs(cs.A @ x - cs.b).max()) <= feas_tol):
                 status = Status.NUMERICAL_ERROR
                 continue
             pg_inf = float(np.abs(pg).max())
@@ -261,10 +261,10 @@ def solve(problem, config: Optional[SolverConfig] = None,
                 x, f, g, pg, d = x_trial, f_trial, g_trial, pg_trial, None
         dt = update_dt(dt, rho)
 
-    # x, f and g are the last adopted point: the start or an accepted step.
-    finite_g = _finite(g)
-    lam = multipliers(proj, g) if finite_g else np.full(proj.m, np.nan)
-    kkt, feas = (residuals(problem.cs, x, g, lam) if finite_g and _finite(x)
+    # x, f, g and pg are the last adopted point: the start or an accepted
+    # step. pg is None exactly when g is not finite.
+    lam = multipliers(cs, g) if pg is not None else np.full(cs.m, np.nan)
+    kkt, feas = (residuals(cs, x, g, lam) if pg is not None and _finite(x)
                  else (math.inf, math.inf))
     return SolveResult(status=status, x_star=x, f_star=f, lambda_star=lam,
                        kkt_inf=kkt, feas_inf=feas,

@@ -37,22 +37,23 @@ def group_columns(grp) -> np.ndarray:
     return np.r_[grp.at].reshape(grp.q.shape[:2])
 
 
-def gathered_to_null_space(p, v, shifted: bool) -> np.ndarray:
-    """v - Q (Q^T v - t) with each group's entries gathered as ``v[cols]``
-    and written back by ``out[cols] -=``, the index form of what
-    ``project_gradient`` (t = 0) and ``make_feasible`` (t = b_r) compute."""
+def gathered_to_null_space(cs, v, shifted: bool) -> np.ndarray:
+    """v - Q (Q^T v - t) over the groups of cs, with each group's entries
+    gathered as ``v[cols]`` and written back by ``out[cols] -=``, the index
+    form of what ``project_gradient`` (t = 0) and ``make_feasible``
+    (t = b_r) compute."""
     out = v.copy()
-    for grp in p.groups:
+    for grp in cs.projector.groups:
         cols = group_columns(grp)
         coef = np.einsum("kcr,kc->kr", grp.q, v[cols])
         out[cols] -= grp.expand(coef - grp.b_r if shifted else coef)
     return out
 
 
-def gathered_multipliers(p, g) -> np.ndarray:
+def gathered_multipliers(cs, g) -> np.ndarray:
     """``multipliers`` with each group's entries gathered as ``g[cols]``."""
-    lam = np.empty(p.m)
-    for grp in p.groups:
+    lam = np.empty(cs.m)
+    for grp in cs.projector.groups:
         coef = np.einsum("kcr,kc->kr", grp.q, g[group_columns(grp)])
         lam[grp.rows] = -np.linalg.solve(grp.r, coef[..., None])[..., 0]
     return lam
@@ -103,8 +104,8 @@ def grouped_check_errors(problem, num_points: int, seed: int) -> np.ndarray:
     that point alone (2n objective calls without it), after one call that
     counts the blocks.
     """
-    proj = problem.cs.projector
-    base = make_feasible(proj, problem.x0)
+    cs = problem.cs
+    base = make_feasible(cs, problem.x0)
     rng = np.random.default_rng(seed)
     n = problem.n
     if problem.block_values is None:  # the whole objective is one block
@@ -116,7 +117,7 @@ def grouped_check_errors(problem, num_points: int, seed: int) -> np.ndarray:
     for j in range(num_points):
         x = base
         if j > 0:
-            x = base + project_gradient(proj, rng.normal(scale=0.25, size=n))
+            x = base + project_gradient(cs, rng.normal(scale=0.25, size=n))
         g = np.asarray(problem.gradient(x), dtype=float)
         h = 1e-6 * (1.0 + np.abs(x))
         fd = np.empty(n)

@@ -62,11 +62,11 @@ def test_criterion_1_projector_properties():
         m = int(rng.integers(1, n))
         A = rng.standard_normal((m, n))
         g = rng.standard_normal(n)
-        p = ConstraintSystem(A=A, b=rng.standard_normal(m)).projector
-        pg = project_gradient(p, g)
+        cs = ConstraintSystem(A=A, b=rng.standard_normal(m))
+        pg = project_gradient(cs, g)
         gn = np.linalg.norm(g)
         oracle = dense_projection(A) @ g
-        ok &= np.linalg.norm(project_gradient(p, pg) - pg) <= 1e-10 * gn
+        ok &= np.linalg.norm(project_gradient(cs, pg) - pg) <= 1e-10 * gn
         ok &= np.linalg.norm(A @ pg) <= 1e-10 * gn
         ok &= np.linalg.norm(pg) <= gn * (1.0 + 1e-12)
         ok &= np.linalg.norm(pg - oracle) <= 1e-9 * max(1.0, gn)
@@ -253,7 +253,7 @@ def test_criterion_9_infeasible_start_projection():
         problem = build(pid, DESK_N)
         A = np.asarray(problem.cs.A.toarray())
         b = problem.cs.b
-        xf = make_feasible(problem.cs.projector, problem.x0)
+        xf = make_feasible(problem.cs, problem.x0)
         feas = float(np.max(np.abs(A @ xf - b)))
         oracle = dense_feasible(A, b, problem.x0)
         good = (feas <= 1e-10 * (1.0 + np.max(np.abs(b)))

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from eqflow import (DESK_DIM, BadDimensionError, ConstraintSystem,
-                    NonFiniteError, PAPER_DIMS, PROBLEM_IDS, Problem, build,
-                    factor, gradient_check, known_optima, make_feasible,
-                    project_gradient, solve)
+                    DimensionMismatchError, NonFiniteError, PAPER_DIMS,
+                    PROBLEM_IDS, Problem, build, gradient_check, known_optima,
+                    make_feasible, project_gradient)
 from eqflow.problems import _EVALUATORS, _TABLE, _Spec, _evaluator, _power
 from oracles import ex8_block_minimum, grouped_check_errors
 
@@ -65,7 +65,7 @@ def test_block_optimum_is_stationary(pid):
     assert p.objective(x) == pytest.approx(f_block, rel=1e-14)
     assert p.block_values(x).sum() == pytest.approx(f_block, rel=1e-14)
     assert feas_inf(p, x) <= 1e-12
-    pg = project_gradient(factor(p.cs), p.gradient(x))
+    pg = project_gradient(p.cs, p.gradient(x))
     assert np.max(np.abs(pg)) <= 1e-12
 
 
@@ -294,15 +294,14 @@ def test_gradient_check_needs_a_point(points):
 
 def _per_coordinate_errors(problem, num_points, seed):
     """The check one coordinate at a time over the whole objective."""
-    proj = factor(problem.cs)
-    base = make_feasible(proj, problem.x0)
+    base = make_feasible(problem.cs, problem.x0)
     rng = np.random.default_rng(seed)
     n = problem.n
     worst = np.zeros(n)
     for j in range(num_points):
         x = base
         if j > 0:
-            x = base + project_gradient(proj, rng.normal(scale=0.25, size=n))
+            x = base + project_gradient(problem.cs, rng.normal(scale=0.25, size=n))
         g = np.asarray(problem.gradient(x), dtype=float)
         fd = np.empty(n)
         for i in range(n):
@@ -386,12 +385,28 @@ def test_non_finite_start_is_named(bad):
     p = build("ex1", 12)
     x0 = p.x0.copy()
     x0[3] = bad
-    p = dataclasses.replace(p, x0=x0)
     message = rf"x0\[3\] = {bad} is not finite \(1 in all\)"
     with pytest.raises(NonFiniteError, match=message):
-        solve(p)
+        dataclasses.replace(p, x0=x0)
+    # the same check guards solve and gradient_check on any other problem
     with pytest.raises(NonFiniteError, match=message):
-        gradient_check(p)
+        make_feasible(p.cs, x0)
+
+
+def test_problem_keeps_a_checked_read_only_start():
+    p = build("ex1", 12)
+    x0 = np.arange(12).reshape(3, 4)  # any shape with n entries, as ints
+    q = dataclasses.replace(p, x0=x0)
+    x0[0, 0] = 99
+    assert q.x0.dtype == float and q.x0.tolist() == list(range(12))
+    with pytest.raises(ValueError, match="read-only"):
+        q.x0[0] = 1.0
+    with pytest.raises(TypeError, match="initial point is complex"):
+        dataclasses.replace(p, x0=p.x0 + 1j)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"initial point has shape \(11,\), expected \(12,\)"):
+        Problem(name="short", objective=p.objective, gradient=p.gradient,
+                cs=p.cs, x0=p.x0[:-1])
 
 
 # ----------------------------------------------------- the power rule

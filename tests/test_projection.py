@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse.csgraph import connected_components
 
+import eqflow
 from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, ConstraintSystem,
                     CSRMatrix, DimensionMismatchError, NonFiniteError,
-                    Projector, RankDeficientError, build, factor, make_feasible,
-                    multipliers, project_gradient, residuals)
-from eqflow.projection import _RANK_GATE, _column_components
+                    RankDeficientError, build, make_feasible, multipliers,
+                    project_gradient, residuals)
+from eqflow.projection import _RANK_GATE, Projector, _column_components, factor
 from oracles import (dense_feasible, dense_projection, gathered_multipliers,
                      gathered_to_null_space, group_columns)
 
@@ -53,15 +54,14 @@ def block_system(rng, blocks, free=0):
 
 def assert_matches_oracles(cs, A, rng, atol=1e-10):
     """Projection, feasibility and multipliers against the dense oracles."""
-    p = factor(cs)
     m, n = A.shape
     g = rng.standard_normal(n)
     x0 = rng.standard_normal(n)
-    assert_allclose(project_gradient(p, g), dense_projection(A) @ g, atol=atol)
-    assert_allclose(make_feasible(p, x0), dense_feasible(A, cs.b, x0), atol=atol)
+    assert_allclose(project_gradient(cs, g), dense_projection(A) @ g, atol=atol)
+    assert_allclose(make_feasible(cs, x0), dense_feasible(A, cs.b, x0), atol=atol)
     kkt = np.block([[np.eye(n), A.T], [A, np.zeros((m, m))]])
     lam = np.linalg.solve(kkt, np.concatenate([-g, np.zeros(m)]))[n:]
-    assert_allclose(multipliers(p, g), lam, atol=atol)
+    assert_allclose(multipliers(cs, g), lam, atol=atol)
 
 
 def assert_block_layout(p, A):
@@ -83,18 +83,18 @@ def assert_block_layout(p, A):
 def test_factor_1x2_hand():
     # x + y = 4: P = I - 11^T/2, least-distance point of 0 is (2, 2), and
     # lam = -(g_x + g_y)/2
-    p = factor(ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0])))
-    assert_allclose(project_gradient(p, [1.0, 0.0]), [0.5, -0.5], atol=1e-15)
-    assert_allclose(make_feasible(p, [0.0, 0.0]), [2.0, 2.0], atol=1e-14)
-    assert_allclose(multipliers(p, [2.0, 4.0]), [-3.0], atol=1e-14)
+    cs = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0]))
+    assert_allclose(project_gradient(cs, [1.0, 0.0]), [0.5, -0.5], atol=1e-15)
+    assert_allclose(make_feasible(cs, [0.0, 0.0]), [2.0, 2.0], atol=1e-14)
+    assert_allclose(multipliers(cs, [2.0, 4.0]), [-3.0], atol=1e-14)
 
 
 def test_factor_identity_column():
     # variables in no constraint pass through every projection unchanged
-    p = factor(ConstraintSystem(A=np.array([[1.0, 0.0]]), b=np.array([3.0])))
-    assert_allclose(project_gradient(p, [5.0, 7.0]), [0.0, 7.0], atol=1e-15)
-    assert_allclose(make_feasible(p, [1.0, 7.0]), [3.0, 7.0], atol=1e-15)
-    assert_allclose(multipliers(p, [5.0, 7.0]), [-5.0], atol=1e-15)
+    cs = ConstraintSystem(A=np.array([[1.0, 0.0]]), b=np.array([3.0]))
+    assert_allclose(project_gradient(cs, [5.0, 7.0]), [0.0, 7.0], atol=1e-15)
+    assert_allclose(make_feasible(cs, [1.0, 7.0]), [3.0, 7.0], atol=1e-15)
+    assert_allclose(multipliers(cs, [5.0, 7.0]), [-5.0], atol=1e-15)
     rng = np.random.default_rng(19)
     cs, A = block_system(rng, [(1, 2), (2, 3), (1, 3)], free=4)
     assert_matches_oracles(cs, A, rng)
@@ -112,7 +112,7 @@ def test_factor_matches_dense_projection():
                       [np.zeros((4, A.shape[1])), chain]])
         A = A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
         cs = ConstraintSystem(A=sp.csr_matrix(A), b=rng.standard_normal(A.shape[0]))
-        assert_block_layout(factor(cs), A)
+        assert_block_layout(cs.projector, A)
         assert_matches_oracles(cs, A, rng)
 
 
@@ -122,10 +122,9 @@ def test_factor_reconstructs_at():
     rng = np.random.default_rng(11)
     for _ in range(20):
         cs, A = block_system(rng, [(1, 2), (2, 3), (2, 2 + rng.integers(1, 4))])
-        p = factor(cs)
         w = rng.standard_normal(cs.m)
-        assert_allclose(project_gradient(p, A.T @ w), 0.0, atol=1e-12)
-        assert_allclose(multipliers(p, A.T @ w), -w, atol=1e-12)
+        assert_allclose(project_gradient(cs, A.T @ w), 0.0, atol=1e-12)
+        assert_allclose(multipliers(cs, A.T @ w), -w, atol=1e-12)
 
 
 def test_factor_permuted_rows_and_columns():
@@ -134,15 +133,14 @@ def test_factor_permuted_rows_and_columns():
     for _ in range(10):
         cs, A = block_system(rng, [(1, 2)] * 4 + [(2, 3)] * 3 + [(1, 3)] * 2)
         rp, cp = rng.permutation(cs.m), rng.permutation(cs.n)
-        p = factor(cs)
-        pp = factor(ConstraintSystem(A=sp.csr_matrix(A[rp][:, cp]), b=cs.b[rp]))
+        pp = ConstraintSystem(A=sp.csr_matrix(A[rp][:, cp]), b=cs.b[rp])
         g = rng.standard_normal(cs.n)
         x0 = rng.standard_normal(cs.n)
-        assert_allclose(project_gradient(pp, g[cp]), project_gradient(p, g)[cp],
+        assert_allclose(project_gradient(pp, g[cp]), project_gradient(cs, g)[cp],
                         atol=1e-12)
-        assert_allclose(make_feasible(pp, x0[cp]), make_feasible(p, x0)[cp],
+        assert_allclose(make_feasible(pp, x0[cp]), make_feasible(cs, x0)[cp],
                         atol=1e-12)
-        assert_allclose(multipliers(pp, g[cp]), multipliers(p, g)[rp], atol=1e-12)
+        assert_allclose(multipliers(pp, g[cp]), multipliers(cs, g)[rp], atol=1e-12)
 
 
 def test_factor_general_dense_matches_oracle():
@@ -196,8 +194,15 @@ def test_system_keeps_its_projector():
     doubled = dataclasses.replace(cs, b=2 * cs.b)
     assert doubled.projector is not cs.projector
     for system in (cs, doubled):
-        x = make_feasible(system.projector, np.zeros(cs.n))
+        x = make_feasible(system, np.zeros(cs.n))
         assert_allclose(system.A @ x, system.b, atol=1e-12)
+
+
+def test_the_system_is_the_one_handle():
+    # the projection functions take the system; its projector, and factor,
+    # stay inside eqflow.projection
+    assert not {"factor", "Projector"} & set(eqflow.__all__)
+    assert [f.name for f in dataclasses.fields(Projector)] == ["groups"]
 
 
 def test_rank_deficient_system_raises_at_every_call(monkeypatch):
@@ -228,20 +233,19 @@ def test_projector_arrays_are_read_only(index):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = np.nan
     g = np.random.default_rng(5).standard_normal(cs.n)
-    assert np.all(np.isfinite(project_gradient(cs.projector, g)))
+    assert np.all(np.isfinite(project_gradient(cs, g)))
 
 
 def test_factor_rank_gate_per_component():
     # full-rank blocks 1e16 apart in scale: each is judged on its own R
     A = np.array([[1e8, 1e8, 0.0, 0.0], [0.0, 0.0, 1e-8, 1e-8]])
     cs = ConstraintSystem(A=sp.csr_matrix(A), b=np.array([4.0, 2e-8]))
-    p = factor(cs)
     g = np.array([1.0, 3.0, -2.0, 6.0])
-    assert_allclose(project_gradient(p, g), dense_projection(A) @ g, atol=1e-14)
-    assert_allclose(project_gradient(p, g), [-1.0, 1.0, -4.0, 4.0], atol=1e-14)
-    assert_allclose(make_feasible(p, np.zeros(4)), [2e-8, 2e-8, 1.0, 1.0],
+    assert_allclose(project_gradient(cs, g), dense_projection(A) @ g, atol=1e-14)
+    assert_allclose(project_gradient(cs, g), [-1.0, 1.0, -4.0, 4.0], atol=1e-14)
+    assert_allclose(make_feasible(cs, np.zeros(4)), [2e-8, 2e-8, 1.0, 1.0],
                     rtol=1e-14)
-    assert_allclose(multipliers(p, g), [-2e-8, -2e8], rtol=1e-14)
+    assert_allclose(multipliers(cs, g), [-2e-8, -2e8], rtol=1e-14)
     # a dependent pair or a stored-zero row at the small scale still fails
     pair = np.zeros((3, 6))
     pair[0, :2] = 1e8
@@ -295,8 +299,7 @@ def array_bytes(obj):
 def test_factor_memory_linear_in_n():
     # ex3 at ten times its benchmark size: 16 000 2x3 blocks
     n = 48000
-    p = factor(build("ex3", n).cs)
-    assert array_bytes(p) <= 100 * n
+    assert array_bytes(build("ex3", n).cs.projector) <= 100 * n
 
 
 def test_constraint_system_shape_validation():
@@ -346,9 +349,9 @@ def test_complex_right_hand_side_raises():
 
 
 def test_complex_start_point_raises():
-    p = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0])).projector
+    cs = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0]))
     with pytest.raises(TypeError, match="initial point is complex"):
-        make_feasible(p, [1.0 + 2.0j, 0.0])
+        make_feasible(cs, [1.0 + 2.0j, 0.0])
 
 
 def test_constraint_system_copies_b():
@@ -466,9 +469,9 @@ def test_factor_same_blocks_from_every_input_form():
     rows, cols = np.nonzero(A)
     halves = sp.coo_array((np.tile(A[rows, cols] / 2, 2),
                            (np.tile(rows, 2), np.tile(cols, 2))), shape=A.shape)
-    ref = factor(ConstraintSystem(A=A, b=cs.b))
+    ref = ConstraintSystem(A=A, b=cs.b).projector
     for form in (sp.csr_matrix(A), sp.csc_array(A), halves, CSRMatrix.from_matrix(A)):
-        p = factor(ConstraintSystem(A=form, b=cs.b))
+        p = ConstraintSystem(A=form, b=cs.b).projector
         assert len(p.groups) == len(ref.groups) == 3
         for grp, want in zip(p.groups, ref.groups):
             for f in dataclasses.fields(grp):
@@ -485,12 +488,11 @@ def assert_gather_oracle_bytes(cs, rng):
     """project_gradient, make_feasible and multipliers give the bytes of
     the forms that gather ``v[cols]`` and scatter ``out[cols] -=``, at a
     random vector and at a random point; returns the projector."""
-    p = factor(cs)
     g, x0 = rng.standard_normal(cs.n), rng.standard_normal(cs.n)
-    assert project_gradient(p, g).tobytes() == gathered_to_null_space(p, g, False).tobytes()
-    assert make_feasible(p, x0).tobytes() == gathered_to_null_space(p, x0, True).tobytes()
-    assert multipliers(p, g).tobytes() == gathered_multipliers(p, g).tobytes()
-    return p
+    assert project_gradient(cs, g).tobytes() == gathered_to_null_space(cs, g, False).tobytes()
+    assert make_feasible(cs, x0).tobytes() == gathered_to_null_space(cs, x0, True).tobytes()
+    assert multipliers(cs, g).tobytes() == gathered_multipliers(cs, g).tobytes()
+    return cs.projector
 
 
 def assert_index(grp, A, kind):
@@ -562,22 +564,22 @@ def test_interleaved_groups_take_the_index_path():
 # ------------------------------------------------------- project_gradient
 
 def test_project_gradient_row_space_and_null_space():
-    p = factor(ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0])))
-    assert_allclose(project_gradient(p, [1.0, 1.0]), [0.0, 0.0], atol=1e-14)
-    assert_allclose(project_gradient(p, [1.0, -1.0]), [1.0, -1.0], atol=1e-14)
+    cs = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0]))
+    assert_allclose(project_gradient(cs, [1.0, 1.0]), [0.0, 0.0], atol=1e-14)
+    assert_allclose(project_gradient(cs, [1.0, -1.0]), [1.0, -1.0], atol=1e-14)
 
 
 def test_project_gradient_dense_oracle():
     A = np.array([[1.0, 2.0, 1.0], [2.0, -1.0, -3.0]])
-    p = factor(ConstraintSystem(A=A, b=np.array([1.0, 4.0])))
+    cs = ConstraintSystem(A=A, b=np.array([1.0, 4.0]))
     g = np.array([1.0, 1.0, 1.0])
-    assert_allclose(project_gradient(p, g), dense_projection(A) @ g, atol=1e-12)
+    assert_allclose(project_gradient(cs, g), dense_projection(A) @ g, atol=1e-12)
 
 
 def test_project_gradient_dimension_check():
-    p = factor(ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0])))
+    cs = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0]))
     with pytest.raises(DimensionMismatchError):
-        project_gradient(p, np.ones(3))
+        project_gradient(cs, np.ones(3))
 
 
 def test_vector_arguments_in_every_accepted_form():
@@ -586,25 +588,24 @@ def test_vector_arguments_in_every_accepted_form():
     # take 1-D vectors only. Lists and integers are taken as floats.
     rng = np.random.default_rng(48)
     cs, _ = block_system(rng, [(1, 2), (2, 3), (1, 3)], free=1)
-    p = factor(cs)
     n, m = cs.n, cs.m
     g, x = rng.standard_normal(n), rng.standard_normal(n)
-    lam = multipliers(p, g)
+    lam = multipliers(cs, g)
     ints = np.arange(n) - 4
     for shape in ((n, 1), (1, n)):
         col_g, col_x = g.reshape(shape), x.reshape(shape)
-        assert project_gradient(p, col_g).tobytes() == project_gradient(p, g).tobytes()
-        assert make_feasible(p, col_x).tobytes() == make_feasible(p, x).tobytes()
-        assert multipliers(p, col_g).tobytes() == lam.tobytes()
+        assert project_gradient(cs, col_g).tobytes() == project_gradient(cs, g).tobytes()
+        assert make_feasible(cs, col_x).tobytes() == make_feasible(cs, x).tobytes()
+        assert multipliers(cs, col_g).tobytes() == lam.tobytes()
         assert residuals(cs, col_x, col_g, lam) == residuals(cs, x, g, lam)
         with pytest.raises(DimensionMismatchError):
             cs.A @ col_x
     with pytest.raises(DimensionMismatchError):
         cs.A.T @ lam.reshape(m, 1)
     as_float = ints.astype(float)
-    assert (project_gradient(p, ints.tolist()).tobytes()
-            == project_gradient(p, as_float).tobytes())
-    assert make_feasible(p, ints).tobytes() == make_feasible(p, as_float).tobytes()
+    assert (project_gradient(cs, ints.tolist()).tobytes()
+            == project_gradient(cs, as_float).tobytes())
+    assert make_feasible(cs, ints).tobytes() == make_feasible(cs, as_float).tobytes()
     assert (cs.A @ ints).tobytes() == (cs.A @ as_float).tobytes()
     assert (cs.A @ ints.tolist()).tobytes() == (cs.A @ as_float).tobytes()
     assert (cs.A.T @ list(range(m))).tobytes() == (cs.A.T @ np.arange(m, dtype=float)).tobytes()
@@ -614,12 +615,11 @@ def test_projection_properties_random():
     rng = np.random.default_rng(2024)
     for _ in range(60):
         cs = random_system(rng)
-        p = factor(cs)
         g = rng.standard_normal(cs.n)
-        pg = project_gradient(p, g)
+        pg = project_gradient(cs, g)
         gnorm = np.linalg.norm(g)
         # idempotence, annihilation, non-expansion
-        assert np.linalg.norm(project_gradient(p, pg) - pg) <= 1e-10 * max(gnorm, 1.0)
+        assert np.linalg.norm(project_gradient(cs, pg) - pg) <= 1e-10 * max(gnorm, 1.0)
         assert np.max(np.abs(cs.A @ pg)) <= 1e-10 * gnorm
         assert np.linalg.norm(pg) <= gnorm * (1.0 + 1e-12)
 
@@ -659,21 +659,21 @@ def test_projector_properties_scaled_blocks(case):
     A0, d, b0, g, x0 = case
     A = d[:, None] * A0
     cs0 = ConstraintSystem(A=sp.csr_matrix(A0), b=b0)
-    p0, p = factor(cs0), factor(ConstraintSystem(A=sp.csr_matrix(A), b=d * b0))
-    assert_block_layout(p0, A0)
-    assert_block_layout(p, A)
+    cs = ConstraintSystem(A=sp.csr_matrix(A), b=d * b0)
+    assert_block_layout(cs0.projector, A0)
+    assert_block_layout(cs.projector, A)
     gnorm = np.linalg.norm(g)
-    pg = project_gradient(p, g)
-    assert_allclose(project_gradient(p, pg), pg, rtol=0, atol=1e-10 * gnorm)
+    pg = project_gradient(cs, g)
+    assert_allclose(project_gradient(cs, pg), pg, rtol=0, atol=1e-10 * gnorm)
     assert np.all(np.abs(A @ pg) <= 1e-10 * np.linalg.norm(A, axis=1) * gnorm)
     # the unscaled system is well conditioned, so it meets the dense oracles,
     # and the scaled one must agree with it
     assert_matches_oracles(cs0, A0, np.random.default_rng(0), atol=1e-9)
-    assert_allclose(pg, project_gradient(p0, g), rtol=0, atol=1e-10 * gnorm)
+    assert_allclose(pg, project_gradient(cs0, g), rtol=0, atol=1e-10 * gnorm)
     scale = 1.0 + np.linalg.norm(x0) + np.linalg.norm(b0)
-    assert_allclose(make_feasible(p, x0), make_feasible(p0, x0),
+    assert_allclose(make_feasible(cs, x0), make_feasible(cs0, x0),
                     rtol=0, atol=1e-9 * scale)
-    assert_allclose(d * multipliers(p, g), multipliers(p0, g),
+    assert_allclose(d * multipliers(cs, g), multipliers(cs0, g),
                     rtol=1e-8, atol=1e-10 * gnorm)
 
 
@@ -698,7 +698,7 @@ def one_component_systems(draw):
 def test_projector_properties_one_component(case):
     A, b, sparse = case
     cs = ConstraintSystem(A=sp.csr_matrix(A) if sparse else A, b=b)
-    (group,) = factor(cs).groups
+    (group,) = cs.projector.groups
     assert group.rows.shape == (1, A.shape[0])
     assert_array_equal(group_columns(group)[0], np.flatnonzero(np.any(A, axis=0)))
     assert_matches_oracles(cs, A, np.random.default_rng(1), atol=1e-9)
@@ -750,7 +750,7 @@ def test_rank_gate_on_nearly_dependent_rows(case):
             ConstraintSystem(A=sp.csr_matrix(A), b=np.zeros(2))
         return
     cs = ConstraintSystem(A=sp.csr_matrix(A), b=np.zeros(2))
-    pg = project_gradient(cs.projector, g)
+    pg = project_gradient(cs, g)
     # null(A) = null(basis), and basis is well conditioned; the projection
     # is as accurate as the condition of A, |a| / delta, allows
     n, eps, gnorm = A.shape[1], np.finfo(float).eps, np.linalg.norm(g)
@@ -763,21 +763,20 @@ def test_rank_gate_on_nearly_dependent_rows(case):
 
 def test_make_feasible_keeps_feasible_points():
     cs = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0]))
-    p = factor(cs)
     x = np.array([1.0, 3.0])
-    assert_allclose(make_feasible(p, x), x, atol=1e-12)
+    assert_allclose(make_feasible(cs, x), x, atol=1e-12)
 
 
 def test_make_feasible_hand_example():
     # least-distance projection of (-0.5, 1.5, 1) onto x + 4y + 2z = 3
     cs = ConstraintSystem(A=np.array([[1.0, 4.0, 2.0]]), b=np.array([3.0]))
-    xf = make_feasible(factor(cs), np.array([-0.5, 1.5, 1.0]))
+    xf = make_feasible(cs, np.array([-0.5, 1.5, 1.0]))
     assert_allclose(xf, [-5.0 / 7.0, 9.0 / 14.0, 4.0 / 7.0], atol=1e-14)
 
 
 def test_make_feasible_symmetric_projection():
     cs = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0]))
-    assert_allclose(make_feasible(factor(cs), np.zeros(2)), [2.0, 2.0], atol=1e-14)
+    assert_allclose(make_feasible(cs, np.zeros(2)), [2.0, 2.0], atol=1e-14)
 
 
 def test_make_feasible_least_distance_oracles():
@@ -785,7 +784,7 @@ def test_make_feasible_least_distance_oracles():
     for _ in range(40):
         cs = random_system(rng)
         x0 = rng.standard_normal(cs.n)
-        xf = make_feasible(factor(cs), x0)
+        xf = make_feasible(cs, x0)
         A = np.asarray(cs.A, float)
         assert np.max(np.abs(A @ xf - cs.b)) <= 1e-10 * (1.0 + np.max(np.abs(cs.b)))
         assert_allclose(xf, dense_feasible(A, cs.b, x0), atol=1e-9)
@@ -800,39 +799,37 @@ def test_make_feasible_least_distance_oracles():
 
 def test_multipliers_hand_example():
     cs = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0]))
-    p = factor(cs)
     g = np.array([2.0, 4.0])
-    lam = multipliers(p, g)
+    lam = multipliers(cs, g)
     assert_allclose(lam, [-3.0], atol=1e-14)
-    assert_allclose(g + np.asarray(cs.A).T @ lam, project_gradient(p, g), atol=1e-14)
+    assert_allclose(g + np.asarray(cs.A).T @ lam, project_gradient(cs, g), atol=1e-14)
 
 
 def test_multipliers_row_space_gradient():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((3, 8))
-    p = factor(ConstraintSystem(A=A, b=np.zeros(3)))
+    cs = ConstraintSystem(A=A, b=np.zeros(3))
     w = rng.standard_normal(3)
-    lam = multipliers(p, A.T @ w)
+    lam = multipliers(cs, A.T @ w)
     assert_allclose(lam, -w, atol=1e-12)
     assert_allclose(A.T @ w + A.T @ lam, 0.0, atol=1e-12)
 
 
 def test_multipliers_dense_oracle():
     A = np.array([[1.0, 2.0, 1.0], [2.0, -1.0, -3.0]])
-    p = factor(ConstraintSystem(A=A, b=np.array([1.0, 4.0])))
+    cs = ConstraintSystem(A=A, b=np.array([1.0, 4.0]))
     g = np.array([1.0, 1.0, 1.0])
     lam_oracle = -np.linalg.solve(A @ A.T, A @ g)
-    assert_allclose(multipliers(p, g), lam_oracle, atol=1e-12)
+    assert_allclose(multipliers(cs, g), lam_oracle, atol=1e-12)
 
 
 def test_multiplier_identity_random():
     rng = np.random.default_rng(13)
     for _ in range(40):
         cs = random_system(rng)
-        p = factor(cs)
         g = rng.standard_normal(cs.n)
-        lhs = g + np.asarray(cs.A, float).T @ multipliers(p, g)
-        assert np.linalg.norm(lhs - project_gradient(p, g)) <= 1e-10 * np.linalg.norm(g)
+        lhs = g + np.asarray(cs.A, float).T @ multipliers(cs, g)
+        assert np.linalg.norm(lhs - project_gradient(cs, g)) <= 1e-10 * np.linalg.norm(g)
 
 
 # -------------------------------------------------------------- residuals
@@ -842,20 +839,18 @@ def test_residuals_zero_at_stationary_feasible():
     A = rng.standard_normal((2, 6))
     b = rng.standard_normal(2)
     cs = ConstraintSystem(A=A, b=b)
-    p = factor(cs)
-    x = make_feasible(p, rng.standard_normal(6))
+    x = make_feasible(cs, rng.standard_normal(6))
     g = A.T @ rng.standard_normal(2)  # gradient in the row space
-    kkt, feas = residuals(cs, x, g, multipliers(p, g))
+    kkt, feas = residuals(cs, x, g, multipliers(cs, g))
     assert kkt <= 1e-10 and feas <= 1e-10
 
 
 def test_residuals_at_pair_optimum():
     # per-pair optimum of  min x^2 + 10 y^2  s.t.  x + y = 4
     cs = ConstraintSystem(A=np.array([[1.0, 1.0]]), b=np.array([4.0]))
-    p = factor(cs)
     x = np.array([40.0 / 11.0, 4.0 / 11.0])
     g = np.array([2.0 * x[0], 20.0 * x[1]])
-    kkt, feas = residuals(cs, x, g, multipliers(p, g))
+    kkt, feas = residuals(cs, x, g, multipliers(cs, g))
     assert kkt <= 1e-10 and feas <= 1e-10
 
 

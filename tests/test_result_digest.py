@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from eqflow import build, factor, gradient_check, solve
+from eqflow import build, gradient_check, solve
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,6 +59,6 @@ def test_projection_items_take_the_index_path():
     tool = _load()
     for make in (tool.permuted_ex8, tool.interleaved):
         cs = make(120, 0)
-        assert all(isinstance(grp.at, np.ndarray) for grp in factor(cs).groups)
+        assert all(isinstance(grp.at, np.ndarray) for grp in cs.projector.groups)
         assert tool.projection_digest(cs, 0) == tool.projection_digest(make(120, 0), 0)
         assert tool.projection_digest(cs, 0) != tool.projection_digest(cs, 7)

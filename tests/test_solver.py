@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import eqflow.solver
-from eqflow import (PAPER_DIMS, ConstraintSystem, SolverConfig, Status, build,
-                    factor, gradient_check, make_feasible, project_gradient,
-                    solve)
+from eqflow import (PAPER_DIMS, ConstraintSystem, DimensionMismatchError,
+                    SolverConfig, Status, build, gradient_check, make_feasible,
+                    project_gradient, solve)
 from eqflow.problems import Problem, _block_constraints, _evaluator, _Spec
 from eqflow.solver import model_decrease, trial_ratio, trial_step, update_dt
 
@@ -195,14 +195,14 @@ def test_solve_distance_problem_reaches_projection():
     result = solve(problem)
     assert result.status is Status.CONVERGED
     c = problem.gradient(np.zeros(problem.n)) / (-2.0)
-    oracle = make_feasible(factor(problem.cs), c)
+    oracle = make_feasible(problem.cs, c)
     assert_allclose(result.x_star, oracle, atol=1e-6)
 
 
 def test_solve_starts_at_optimum():
     rng = np.random.default_rng(2)
     problem = distance_problem(rng)
-    xstar = make_feasible(factor(problem.cs), problem.gradient(np.zeros(8)) / -2.0)
+    xstar = make_feasible(problem.cs, problem.gradient(np.zeros(8)) / -2.0)
     problem = dataclasses.replace(problem, x0=xstar)
     result = solve(problem)
     assert result.status is Status.CONVERGED
@@ -336,7 +336,7 @@ def test_solve_gradient_turning_nan_ends_at_last_finite_point():
     # then; with a constant one the ratio test takes it at f's noise floor
     # and rejects the trial, and the solve still ends there
     base = build("ex1", 12)
-    x0 = make_feasible(factor(base.cs), base.x0)
+    x0 = make_feasible(base.cs, base.x0)
     for objective, steps in ((base.objective, 1), (lambda x: 7.0, 0)):
         calls = []
 
@@ -408,6 +408,22 @@ def test_invariant_checks_survive_python_O():
     assert proc.stdout.split() == ["False", "numerical_error", "1"]
 
 
+@pytest.mark.parametrize("run", [solve, gradient_check],
+                         ids=["solve", "gradient_check"])
+@pytest.mark.parametrize("bad, error, message", [
+    (lambda g: g + 1j, TypeError, "gradient is complex"),
+    (lambda g: g[:-1], DimensionMismatchError,
+     r"gradient has shape \(11,\), expected \(12,\)"),
+], ids=["complex", "short"])
+def test_callback_gradient_is_checked_once(run, bad, error, message):
+    # a float conversion would drop a complex gradient's imaginary part with
+    # only a warning; both callers raise the one vector check's errors
+    base = build("ex1", 12)
+    problem = dataclasses.replace(base, gradient=lambda x: bad(base.gradient(x)))
+    with pytest.raises(error, match=message):
+        run(problem)
+
+
 def test_solve_overflowing_trial_is_rejected_not_fatal():
     # the objective "overflows" outside a ball around the start; with a big
     # initial dt the first trial lands there, must be rejected via rho=-inf,
@@ -416,9 +432,8 @@ def test_solve_overflowing_trial_is_rejected_not_fatal():
     A = rng.standard_normal((3, 8))
     b = rng.standard_normal(3)
     cs = ConstraintSystem(A=A, b=b)
-    proj = factor(cs)
-    x_start = make_feasible(proj, rng.standard_normal(8))
-    delta = project_gradient(proj, rng.standard_normal(8))
+    x_start = make_feasible(cs, rng.standard_normal(8))
+    delta = project_gradient(cs, rng.standard_normal(8))
     delta *= 0.1 / np.linalg.norm(delta)
     c = x_start + delta
     radius = 1.5 * np.linalg.norm(delta)
@@ -446,9 +461,8 @@ def test_solve_callback_sees_every_iteration():
 def test_solve_kkt_matches_projected_gradient():
     result = solve(build("ex7", 12))
     problem = build("ex7", 12)
-    proj = factor(problem.cs)
     g = problem.gradient(result.x_star)
-    pg_inf = float(np.max(np.abs(project_gradient(proj, g))))
+    pg_inf = float(np.max(np.abs(project_gradient(problem.cs, g))))
     assert abs(result.kkt_inf - pg_inf) <= 1e-9 * max(1.0, float(np.max(np.abs(g))))
 
 

@@ -17,7 +17,9 @@ measures how often each happens:
 
 A block counts as local when its block value exceeds the global block
 minimum, ``known_optima("ex8", 4800)[1]`` over the number of blocks, by more
-than 1e-3. This is a measurement, not a pass/fail gate; no test runs it.
+than 1e-3. This is a measurement, not a pass/fail gate. A tier-1 test runs
+``--single`` to check that the tool runs and prints its JSON line; it does
+not check the basin, which depends on the kernel.
 
 Usage: python3 tools/ex8_basin.py [--starts K] [--seed S]
 """

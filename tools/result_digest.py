@@ -5,14 +5,14 @@ unchanged. It solves the ten problems at n = 120 and at their paper
 sizes (20 solves) and runs ``gradient_check`` (ten points, seeds 0 and 7)
 on the same 20 problems, and on ex1 and ex8 at n = 120 without
 ``block_values``, where the check differences the whole objective. It
-then solves the 20 problems again on the same ``Problem`` objects, so on
-the projector each system computed when it was made; each of these lines
-must equal the first solve's. Every benchmark problem's block groups
-index their variables by a slice, so it also runs ``project_gradient``,
-``make_feasible`` and ``multipliers`` on systems whose groups take the
-index-array path: ex8's constraints with the columns permuted by a
-seeded permutation, and interleaved 1x2 and 1x3 components, each at
-n = 120 and 4800. Each item's digest covers every output bit: a solve's
+then solves the 20 problems again on the same ``Problem`` objects; each
+of these lines must equal the first solve's. Every projection reads the
+one projector a system computed when it was made. Every benchmark
+problem's block groups index their variables by a slice, so it also runs
+``project_gradient``, ``make_feasible`` and ``multipliers`` on systems
+whose groups take the index-array path: ex8's constraints with the
+columns permuted by a seeded permutation, and interleaved 1x2 and 1x3
+components, each at n = 120 and 4800. Each item's digest covers every output bit: a solve's
 status, counts, f*, kkt, feas, x*, lambda* and every ``IterationRecord``;
 a check's name, n, point count, worst error and per-coordinate errors; a
 projection's three result vectors. The script prints one line per item
@@ -38,9 +38,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS,  # noqa: E402
-                    ConstraintSystem, CSRMatrix, build, factor,
-                    gradient_check, make_feasible, multipliers,
-                    project_gradient, solve)
+                    ConstraintSystem, CSRMatrix, build, gradient_check,
+                    make_feasible, multipliers, project_gradient, solve)
 
 SEEDS = (0, 7)
 POINTS = 10
@@ -78,12 +77,11 @@ def check_digest(report) -> str:
 
 def projection_digest(cs, seed) -> str:
     """Hex SHA-256 of project_gradient and multipliers at one seeded random
-    vector and of make_feasible at another."""
-    p = factor(cs)
+    vector and of make_feasible at another, all on the projector cs keeps."""
     rng = np.random.default_rng(seed)
     g, x0 = rng.standard_normal(cs.n), rng.standard_normal(cs.n)
-    return digest((project_gradient(p, g), make_feasible(p, x0),
-                   multipliers(p, g)))
+    return digest((project_gradient(cs, g), make_feasible(cs, x0),
+                   multipliers(cs, g)))
 
 
 def permuted_ex8(n, seed) -> ConstraintSystem:
