@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .projection import (ConstraintSystem, CSRMatrix, _start_point, _vector,
-                         make_feasible, project_gradient)
+from .projection import (ConstraintSystem, CSRMatrix, _start_point, _to_null_space,
+                         _vector, make_feasible)
 
 
 class BadDimensionError(ValueError):
@@ -335,8 +335,10 @@ def gradient_check(problem: Problem, num_points: int = 10,
     1 + 2w calls when the points form one stack. A result that is not one
     row of n/w values per point raises ValueError. Without
     ``block_values`` the objective is one block of width n, and a point
-    costs 2n objective calls, each on one ``(n,)`` row. Each point is
-    still made, projected and given its gradient on its own. A
+    costs 2n objective calls, each on one ``(n,)`` row. The perturbations
+    of a stack are drawn by one ``rng.normal`` call, which gives the
+    stream that one draw per point gives, and projected by one call; each
+    point's gradient is still one call on that point alone. A
     ``num_points`` below 1 raises ValueError.
     """
     if num_points < 1:
@@ -351,11 +353,13 @@ def gradient_check(problem: Problem, num_points: int = 10,
     worst = np.zeros(n)
     for start in range(0, num_points, rows):
         stack = (min(rows, num_points - start), n)
-        x, g = np.empty(stack), np.empty(stack)
+        x, g = np.tile(base, (stack[0], 1)), np.empty(stack)
+        moved = stack[0] - (start == 0)  # the points other than the start point
+        if moved:
+            x[-moved:] += _to_null_space(
+                cs, rng.normal(scale=0.25, size=(moved, n)), False)
         for r in range(stack[0]):
-            x[r] = base if start + r == 0 else base + project_gradient(
-                cs, rng.normal(scale=0.25, size=n))
-            g[r] = _vector(np.ravel(problem.gradient(x[r])), n, "gradient")
+            g[r] = _vector(np.asarray(problem.gradient(x[r])).ravel(), n, "gradient")
         if w is None:
             w = n // _stack_values(problem.name, values, x, None).shape[1]
         # flattened, the stack holds entry i of every block of every point
@@ -372,8 +376,7 @@ def gradient_check(problem: Problem, num_points: int = 10,
                         - _stack_values(problem.name, values, down, n // w)).reshape(-1)
         fd /= 2.0 * h
         err = np.abs(fd - g) / (1.0 + np.abs(g))
-        for e in err.reshape(stack):
-            np.maximum(worst, e, out=worst)
+        np.maximum(worst, err.reshape(stack).max(axis=0), out=worst)
     return GradientCheckReport(name=problem.name, n=n, num_points=num_points,
                                max_rel_error=float(worst.max()),
                                coord_errors=worst)

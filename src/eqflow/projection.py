@@ -46,7 +46,8 @@ def _starts(keys, size):
 
 def _vector(v, length, name="vector") -> np.ndarray:
     """v as a float array of shape (length,); callers that accept any shape
-    with length entries pass ``np.ravel(v)``. A complex v raises TypeError."""
+    with length entries pass ``np.asarray(v).ravel()``. A complex v raises
+    TypeError."""
     v = np.asarray(v)
     if v.dtype != float:
         if v.dtype.kind == "c":
@@ -187,7 +188,7 @@ class ConstraintSystem:
             raise DimensionMismatchError(
                 f"constraint matrix must satisfy 1 <= m < n, n >= 2, got m={m} n={n}"
             )
-        b = _vector(np.ravel(self.b), m, "right-hand side").copy()
+        b = _vector(np.asarray(self.b).ravel(), m, "right-hand side").copy()
         b.flags.writeable = False
         _require_finite(A.data, lambda k: "constraint matrix entry "
                         f"A[{A.rows[k]}, {A.indices[k]}]")
@@ -229,8 +230,9 @@ class BlockGroup:
     b_r: np.ndarray
 
     def coefficients(self, v) -> np.ndarray:
-        """Row-space coordinates q^T v of each block, shape (k, r), from the
-        group's entries ``v[at]``.
+        """Row-space coordinates q^T v of each block, shape (..., k, r), from
+        the group's entries ``v[..., at]`` of a vector or a stack of them,
+        v of shape (..., n).
 
         The summation order over c is einsum's own, and the solve's bits hang
         on it. For ex8 at n = 4800 (k = 1600, c = 3, r = 1), with p_j the
@@ -240,13 +242,23 @@ class BlockGroup:
         way (``matmul``, ``.sum(axis=1)``, sequentially, reversed) block 0 of
         that solve ended in the local basin (f* = -12116.39), so the ex8 result
         rests on an order numpy does not promise. ROADMAP.md item 1 replaces it
-        with a stated order; until then keep the einsum.
+        with a stated order; until then keep the einsum. The leading stack
+        axis leaves that order as it is: each row of a stack gets the bits it
+        gets alone.
         """
-        return np.einsum("kcr,kc->kr", self.q, v[self.at].reshape(self.q.shape[:2]))
+        at = self.at
+        # take lays a stack's gathered entries out row by row, as a slice's
+        # view has them; v[..., at] with an index array lays them out column
+        # by column, and einsum then sums over c in another order
+        entries = v[..., at] if isinstance(at, slice) else v.take(at, axis=-1)
+        return np.einsum("kcr,...kc->...kr", self.q,
+                         entries.reshape(v.shape[:-1] + self.q.shape[:2]))
 
     def expand(self, t) -> np.ndarray:
-        """Map block coordinates t (k, r) back to variables: q @ t, (k, c)."""
-        return np.einsum("kcr,kr->kc", self.q, t)
+        """Map block coordinates t (..., k, r) back to variables: q @ t,
+        (..., k, c), with the same per-entry order with or without the
+        leading stack axis."""
+        return np.einsum("kcr,...kr->...kc", self.q, t)
 
 
 @dataclass(frozen=True)
@@ -388,24 +400,27 @@ def factor(cs: ConstraintSystem) -> Projector:
 
 def _to_null_space(cs: ConstraintSystem, v, shifted: bool) -> np.ndarray:
     """v - Q (Q^T v - t) over every group of cs, with t each group's b_r
-    when shifted and 0 otherwise."""
+    when shifted and 0 otherwise, for v of shape (..., n): each row of a
+    stack gets the bits it gets alone."""
     out = v.copy()
     for grp in cs.projector.groups:
         coef = grp.coefficients(v)
-        out[grp.at] -= grp.expand(coef - grp.b_r if shifted else coef).reshape(-1)
+        k, c = grp.q.shape[:2]
+        out[..., grp.at] -= grp.expand(coef - grp.b_r if shifted else coef).reshape(
+            v.shape[:-1] + (k * c,))
     return out
 
 
 def _start_point(x0, n) -> np.ndarray:
     """x0, n real and finite entries, as a float array of shape (n,)."""
-    x0 = _vector(np.ravel(x0), n, "initial point")
+    x0 = _vector(np.asarray(x0).ravel(), n, "initial point")
     _require_finite(x0, lambda i: f"initial point entry x0[{i}]")
     return x0
 
 
 def project_gradient(cs: ConstraintSystem, g) -> np.ndarray:
     """Project g onto the null space of cs.A (the component with A @ Pg = 0)."""
-    return _to_null_space(cs, _vector(np.ravel(g), cs.n, "gradient"), False)
+    return _to_null_space(cs, _vector(np.asarray(g).ravel(), cs.n, "gradient"), False)
 
 
 def make_feasible(cs: ConstraintSystem, x0) -> np.ndarray:
@@ -422,7 +437,7 @@ def multipliers(cs: ConstraintSystem, g) -> np.ndarray:
     Satisfies g + A^T lam = Pg, which makes the stationarity residual
     ``||g + A^T lam||`` identical to ``||Pg||``.
     """
-    g = _vector(np.ravel(g), cs.n, "gradient")
+    g = _vector(np.asarray(g).ravel(), cs.n, "gradient")
     lam = np.empty(cs.m)
     for grp in cs.projector.groups:
         lam[grp.rows] = -np.linalg.solve(grp.r, grp.coefficients(g)[..., None])[..., 0]
@@ -434,6 +449,6 @@ def residuals(cs: ConstraintSystem, x, g, lam) -> Tuple[float, float]:
 
     ``lam`` are the multipliers at g, as returned by :func:`multipliers`.
     """
-    kkt = _vector(np.ravel(g), cs.n, "gradient") + cs.A.T @ lam
-    feas = cs.A @ _vector(np.ravel(x), cs.n, "point") - cs.b
+    kkt = _vector(np.asarray(g).ravel(), cs.n, "gradient") + cs.A.T @ lam
+    feas = cs.A @ _vector(np.asarray(x).ravel(), cs.n, "point") - cs.b
     return float(np.max(np.abs(kkt))), float(np.max(np.abs(feas)))

@@ -201,7 +201,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
         when g is not finite. Counts each gradient and tests it once."""
         nonlocal n_g
         n_g += 1
-        gv = _vector(np.ravel(problem.gradient(xv)), cs.n, "gradient")
+        gv = _vector(np.asarray(problem.gradient(xv)).ravel(), cs.n, "gradient")
         return gv, (project_gradient(cs, gv) if _finite(gv) else None)
 
     x = make_feasible(cs, problem.x0)

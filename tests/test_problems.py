@@ -14,6 +14,7 @@ from eqflow import (DESK_DIM, BadDimensionError, ConstraintSystem,
                     PROBLEM_IDS, Problem, build, gradient_check, known_optima,
                     make_feasible, project_gradient)
 from eqflow.problems import _EVALUATORS, _TABLE, _Spec, _evaluator, _power
+from eqflow.projection import _to_null_space
 from oracles import ex8_block_minimum, grouped_check_errors
 
 FEASIBLE_STARTS = ("ex1", "ex5", "ex9", "ex10")
@@ -253,6 +254,23 @@ def test_gradient_check_matches_the_per_point_check(pid, seed):
         expected = grouped_check_errors(p, 10, seed)
         assert report.coord_errors.tobytes() == expected.tobytes()
         assert report.max_rel_error == expected.max()
+
+
+@pytest.mark.parametrize("n, points, stacks", [
+    (24, 3, [2]),  # one stack: the start point and two moved ones
+    (1200, 10, [2, 3, 3, 1]),  # stacks of 3, 3, 3 and 1
+    (4800, 10, [1] * 9),  # stacks of 1; the first holds the start point alone
+])
+def test_gradient_check_projects_a_stack_at_a_time(monkeypatch, n, points, stacks):
+    # one draw and one projection for the moved points of each stack
+    calls = []
+
+    def counted(cs, v, shifted):
+        calls.append((v.shape, shifted))
+        return _to_null_space(cs, v, shifted)
+    monkeypatch.setattr("eqflow.problems._to_null_space", counted)
+    gradient_check(build("ex3", n), num_points=points)
+    assert calls == [((rows, n), False) for rows in stacks]
 
 
 def _shrinking_after_first_call(block_values):

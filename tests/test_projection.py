@@ -20,7 +20,8 @@ from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, ConstraintSystem,
                     CSRMatrix, DimensionMismatchError, NonFiniteError,
                     RankDeficientError, build, make_feasible, multipliers,
                     project_gradient, residuals)
-from eqflow.projection import _RANK_GATE, Projector, _column_components, factor
+from eqflow.projection import (_RANK_GATE, Projector, _column_components,
+                               _to_null_space, factor)
 from oracles import (dense_feasible, dense_projection, gathered_multipliers,
                      gathered_to_null_space, group_columns)
 
@@ -487,11 +488,20 @@ def test_factor_same_blocks_from_every_input_form():
 def assert_gather_oracle_bytes(cs, rng):
     """project_gradient, make_feasible and multipliers give the bytes of
     the forms that gather ``v[cols]`` and scatter ``out[cols] -=``, at a
-    random vector and at a random point; returns the projector."""
+    random vector and at a random point, and a stack of 0, 1 or 3 vectors
+    gives each row the bytes that row gets alone, shifted and unshifted;
+    returns the projector."""
     g, x0 = rng.standard_normal(cs.n), rng.standard_normal(cs.n)
     assert project_gradient(cs, g).tobytes() == gathered_to_null_space(cs, g, False).tobytes()
     assert make_feasible(cs, x0).tobytes() == gathered_to_null_space(cs, x0, True).tobytes()
     assert multipliers(cs, g).tobytes() == gathered_multipliers(cs, g).tobytes()
+    for rows in (0, 1, 3):
+        stack = rng.standard_normal((rows, cs.n))
+        for shifted in (False, True):
+            alone = np.array([_to_null_space(cs, v, shifted) for v in stack])
+            stacked = _to_null_space(cs, stack, shifted)
+            assert stacked.shape == (rows, cs.n)
+            assert stacked.tobytes() == alone.tobytes()
     return cs.projector
 
 
