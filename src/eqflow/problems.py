@@ -47,9 +47,11 @@ class Problem:
     has length n/w, its entry k depends on ``x[k*w:(k+1)*w]`` alone, and
     ``objective(x)`` is a constant plus its sum. It also takes a stack of
     points, an ``(..., n)`` array, and maps it to ``(..., n/w)``, each row
-    bit for bit that of its point alone: ``gradient_check`` passes
-    ``(rows, n)`` stacks. ``build`` sets it; a problem without it is one
-    block of width n to ``gradient_check``. ``x0`` is checked as
+    bit for bit that of its point alone; so does ``gradient`` when it is
+    set, mapping ``(..., n)`` to ``(..., n)``. ``gradient_check`` passes
+    both ``(rows, n)`` stacks. ``build`` sets it; a problem without it is
+    one block of width n to ``gradient_check``, and its gradient gets one
+    point at a time. ``x0`` is checked as
     ``make_feasible`` checks it and kept as a read-only float copy.
     """
 
@@ -156,7 +158,8 @@ def _sum(monomials, y):
 
 def _evaluator(spec):
     """Objective, gradient and per-block values of a table entry, vectorized
-    over the blocks; ``block_values`` also over a stack of points.
+    over the blocks; ``gradient`` and ``block_values`` also over a stack of
+    points.
 
     The gradient is derived by one rule: d/dx_k of ``c * x_k ** e * r`` is
     ``(c * e) * x_k ** (e - 1) * r``. ``block_values`` returns the objective
@@ -187,11 +190,13 @@ def _evaluator(spec):
 
     def gradient(x):
         y = columns(x)
-        out = np.empty_like(x)
+        flat = np.empty(x.size)  # laid out as columns' flat x
         for k, monomials in enumerate(derived):
             g = _sum(monomials, y)
-            out[k::w] = 0.0 if g is None else g
-        return out
+            flat[k::w] = 0.0 if g is None else g
+        # solve passes single points; for them the reshape would add 2-3%
+        # to a call at n = 120
+        return flat if x.ndim == 1 else flat.reshape(x.shape)
 
     return objective, gradient, block_values
 
@@ -294,6 +299,15 @@ def _objective_rows(objective):
     return lambda stack: np.array([[float(objective(x))] for x in stack])
 
 
+def _gradient_rows(gradient):
+    """A gradient of one point as one of stacks, ``(rows, n)`` to
+    ``(rows, n)``: a call per ``(n,)`` row, each result checked as
+    ``solve`` checks it."""
+    return lambda stack: np.array([_vector(np.asarray(gradient(x)).ravel(),
+                                           stack.shape[1], "gradient")
+                                   for x in stack])
+
+
 def _stack_values(name, values, stack, blocks):
     """``values`` of a stack of points, checked to have one row of
     ``blocks`` values per point; ``blocks=None`` accepts any count that
@@ -333,13 +347,15 @@ def gradient_check(problem: Problem, num_points: int = 10,
     one point. A stack costs 2w ``block_values`` calls, each on the whole
     ``(rows, n)`` stack, and the first stack one more to count the blocks:
     1 + 2w calls when the points form one stack. A result that is not one
-    row of n/w values per point raises ValueError. Without
-    ``block_values`` the objective is one block of width n, and a point
-    costs 2n objective calls, each on one ``(n,)`` row. The perturbations
-    of a stack are drawn by one ``rng.normal`` call, which gives the
-    stream that one draw per point gives, and projected by one call; each
-    point's gradient is still one call on that point alone. A
-    ``num_points`` below 1 raises ValueError.
+    row of n/w values per point raises ValueError. The gradients of a
+    stack are one ``gradient`` call on it too; a complex result raises
+    TypeError, one not of shape ``(rows, n)`` DimensionMismatchError.
+    Without ``block_values`` the objective is one block of width n, and a
+    point costs 2n objective calls and one gradient call, each on one
+    ``(n,)`` row. The perturbations of a stack are drawn by one
+    ``rng.normal`` call, which gives the stream that one draw per point
+    gives, and projected by one call. A ``num_points`` below 1 raises
+    ValueError.
     """
     if num_points < 1:
         raise ValueError(f"num_points must be positive, got {num_points}")
@@ -348,18 +364,19 @@ def gradient_check(problem: Problem, num_points: int = 10,
     rng = np.random.default_rng(seed)
     n = problem.n
     rows = max(1, _STACK // n)
-    values, w = ((_objective_rows(problem.objective), n)
-                 if problem.block_values is None else (problem.block_values, None))
+    values, gradient, w = (
+        (_objective_rows(problem.objective), _gradient_rows(problem.gradient), n)
+        if problem.block_values is None else
+        (problem.block_values, problem.gradient, None))
     worst = np.zeros(n)
     for start in range(0, num_points, rows):
         stack = (min(rows, num_points - start), n)
-        x, g = np.tile(base, (stack[0], 1)), np.empty(stack)
+        x = np.tile(base, (stack[0], 1))
         moved = stack[0] - (start == 0)  # the points other than the start point
         if moved:
             x[-moved:] += _to_null_space(
                 cs, rng.normal(scale=0.25, size=(moved, n)), False)
-        for r in range(stack[0]):
-            g[r] = _vector(np.asarray(problem.gradient(x[r])).ravel(), n, "gradient")
+        g = _vector(gradient(x), stack, "gradient")
         if w is None:
             w = n // _stack_values(problem.name, values, x, None).shape[1]
         # flattened, the stack holds entry i of every block of every point

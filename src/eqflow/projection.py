@@ -44,18 +44,19 @@ def _starts(keys, size):
     return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=size))))
 
 
-def _vector(v, length, name="vector") -> np.ndarray:
-    """v as a float array of shape (length,); callers that accept any shape
-    with length entries pass ``np.asarray(v).ravel()``. A complex v raises
-    TypeError."""
+def _vector(v, shape, name="vector") -> np.ndarray:
+    """v as a float array of the given shape, ``(shape,)`` for an int and a
+    tuple as it is (a stack of vectors); callers that accept any shape with
+    ``shape`` entries pass ``np.asarray(v).ravel()``. A complex v raises
+    TypeError, any other shape DimensionMismatchError."""
     v = np.asarray(v)
     if v.dtype != float:
         if v.dtype.kind == "c":
             raise TypeError(f"{name} is complex; only real values are accepted")
         v = v.astype(float)
-    if v.shape != (length,):
-        raise DimensionMismatchError(
-            f"{name} has shape {v.shape}, expected ({length},)")
+    if v.shape != (shape if type(shape) is tuple else (shape,)):
+        expected = tuple(int(d) for d in np.atleast_1d(shape))
+        raise DimensionMismatchError(f"{name} has shape {v.shape}, expected {expected}")
     return v
 
 
@@ -229,37 +230,6 @@ class BlockGroup:
     r: np.ndarray
     b_r: np.ndarray
 
-    def coefficients(self, v) -> np.ndarray:
-        """Row-space coordinates q^T v of each block, shape (..., k, r), from
-        the group's entries ``v[..., at]`` of a vector or a stack of them,
-        v of shape (..., n).
-
-        The summation order over c is einsum's own, and the solve's bits hang
-        on it. For ex8 at n = 4800 (k = 1600, c = 3, r = 1), with p_j the
-        products of q[:, j, 0] and each block's entry j, the coordinates equal
-        ``(p0 + p2) + p1`` in all 204 800 entries of the solve's 128 calls and
-        a left-to-right sum in 153 600 (numpy 2.4.6, x86-64). Summed another
-        way (``matmul``, ``.sum(axis=1)``, sequentially, reversed) block 0 of
-        that solve ended in the local basin (f* = -12116.39), so the ex8 result
-        rests on an order numpy does not promise. ROADMAP.md item 1 replaces it
-        with a stated order; until then keep the einsum. The leading stack
-        axis leaves that order as it is: each row of a stack gets the bits it
-        gets alone.
-        """
-        at = self.at
-        # take lays a stack's gathered entries out row by row, as a slice's
-        # view has them; v[..., at] with an index array lays them out column
-        # by column, and einsum then sums over c in another order
-        entries = v[..., at] if isinstance(at, slice) else v.take(at, axis=-1)
-        return np.einsum("kcr,...kc->...kr", self.q,
-                         entries.reshape(v.shape[:-1] + self.q.shape[:2]))
-
-    def expand(self, t) -> np.ndarray:
-        """Map block coordinates t (..., k, r) back to variables: q @ t,
-        (..., k, c), with the same per-entry order with or without the
-        leading stack axis."""
-        return np.einsum("kcr,...kr->...kc", self.q, t)
-
 
 @dataclass(frozen=True)
 class Projector:
@@ -398,16 +368,44 @@ def factor(cs: ConstraintSystem) -> Projector:
     return Projector(groups=tuple(groups))
 
 
+def _coefficients(q, at, v, lead) -> np.ndarray:
+    """Row-space coordinates q^T v of each block of a group, shape
+    ``lead + (k, r)``, from the group's entries ``v[..., at]`` of a vector
+    or a stack of them, v of shape ``lead + (n,)``.
+
+    The summation order over c is einsum's own, and the solve's bits hang
+    on it. For ex8 at n = 4800 (k = 1600, c = 3, r = 1), with p_j the
+    products of q[:, j, 0] and each block's entry j, the coordinates equal
+    ``(p0 + p2) + p1`` in all 204 800 entries of the solve's 128 calls and
+    a left-to-right sum in 153 600 (numpy 2.4.6, x86-64). Summed another
+    way (``matmul``, ``.sum(axis=1)``, sequentially, reversed) block 0 of
+    that solve ended in the local basin (f* = -12116.39), so the ex8 result
+    rests on an order numpy does not promise. ROADMAP.md item 1 replaces it
+    with a stated order; until then keep the einsum. The leading stack
+    axes leave that order as it is: each row of a stack gets the bits it
+    gets alone.
+    """
+    # take lays a stack's gathered entries out row by row, as a slice's
+    # view has them; v[..., at] with an index array lays them out column
+    # by column, and einsum then sums over c in another order
+    entries = v[..., at] if isinstance(at, slice) else v.take(at, axis=-1)
+    return np.einsum("kcr,...kc->...kr", q, entries.reshape(lead + q.shape[:2]))
+
+
 def _to_null_space(cs: ConstraintSystem, v, shifted: bool) -> np.ndarray:
     """v - Q (Q^T v - t) over every group of cs, with t each group's b_r
     when shifted and 0 otherwise, for v of shape (..., n): each row of a
-    stack gets the bits it gets alone."""
+    stack gets the bits it gets alone. Q t maps block coordinates back to
+    variables with the same per-entry order with or without a stack."""
     out = v.copy()
+    lead = v.shape[:-1]
     for grp in cs.projector.groups:
-        coef = grp.coefficients(v)
-        k, c = grp.q.shape[:2]
-        out[..., grp.at] -= grp.expand(coef - grp.b_r if shifted else coef).reshape(
-            v.shape[:-1] + (k * c,))
+        q, at = grp.q, grp.at
+        k, c, _ = q.shape
+        coef = _coefficients(q, at, v, lead)
+        if shifted:
+            coef = coef - grp.b_r
+        out[..., at] -= np.einsum("kcr,...kr->...kc", q, coef).reshape(lead + (k * c,))
     return out
 
 
@@ -440,7 +438,8 @@ def multipliers(cs: ConstraintSystem, g) -> np.ndarray:
     g = _vector(np.asarray(g).ravel(), cs.n, "gradient")
     lam = np.empty(cs.m)
     for grp in cs.projector.groups:
-        lam[grp.rows] = -np.linalg.solve(grp.r, grp.coefficients(g)[..., None])[..., 0]
+        coef = _coefficients(grp.q, grp.at, g, ())
+        lam[grp.rows] = -np.linalg.solve(grp.r, coef[..., None])[..., 0]
     return lam
 
 

@@ -46,7 +46,7 @@ def gathered_to_null_space(cs, v, shifted: bool) -> np.ndarray:
     for grp in cs.projector.groups:
         cols = group_columns(grp)
         coef = np.einsum("kcr,kc->kr", grp.q, v[cols])
-        out[cols] -= grp.expand(coef - grp.b_r if shifted else coef)
+        out[cols] -= np.einsum("kcr,kr->kc", grp.q, coef - grp.b_r if shifted else coef)
     return out
 
 

@@ -174,11 +174,26 @@ def test_block_values_of_a_stack_are_those_of_its_rows(pid):
         assert row.tobytes() == p.block_values(x).tobytes()
 
 
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+@pytest.mark.parametrize("rows", [1, 3])
+def test_gradient_of_a_stack_is_that_of_its_rows(pid, rows):
+    # gradient_check takes the gradients of a stack in one call, solve one
+    # point at a time
+    p = build(pid, 24)
+    rng = np.random.default_rng(53)
+    stack = np.vstack([p.x0, rng.uniform(-2.0, 2.0, size=(rows - 1, 24))])
+    g = p.gradient(stack)
+    assert g.shape == (rows, 24)
+    for row, x in zip(g, stack):
+        assert row.tobytes() == p.gradient(x).tobytes()
+
+
 def _with_wrong_coordinate(p, k):
-    """p with its gradient off by 1% (guarded) in coordinate k alone."""
+    """p with its gradient off by 1% (guarded) in coordinate k alone, of one
+    point or of each point of a stack."""
     def gradient(x):
         g = p.gradient(x).copy()
-        g[k] += 0.01 * (1.0 + abs(g[k]))
+        g[..., k] += 0.01 * (1.0 + abs(g[..., k]))
         return g
     return dataclasses.replace(p, gradient=gradient)
 
@@ -219,11 +234,23 @@ def test_gradient_check_call_counts(pid):
     assert len(calls) == 1 + 2 * _TABLE[pid].width
     assert all(stack.shape == (points, n) for stack in calls)
     calls.clear()
+    gradients = []
+    gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, gradients)),
+                   num_points=points)
+    assert [x.shape for x in gradients] == [(points, n)]
+    gradients.clear()
     gradient_check(dataclasses.replace(p, objective=_counted(p.objective, calls),
+                                       gradient=_counted(p.gradient, gradients),
                                        block_values=None),
                    num_points=points)
     assert len(calls) == 2 * n * points
     assert all(x.shape == (n,) for x in calls)
+    assert [x.shape for x in gradients] == [(n,)] * points
+    gradients.clear()
+    p = build(pid, 1200)
+    gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, gradients)))
+    # ten points in stacks of 3, 3, 3 and 1
+    assert [x.shape for x in gradients] == [(3, 1200)] * 3 + [(1, 1200)]
 
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
@@ -236,10 +263,11 @@ def test_gradient_check_evaluations_may_keep_their_points(pid):
     gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, checked),
                                        block_values=_counted(p.block_values, kept)),
                    num_points=3)
-    assert len(checked) == 3 and len(kept) == 1 + 2 * width
-    assert np.array_equal(kept[0], checked)  # the call that counts the blocks
+    assert [x.shape for x in checked] == [(3, 24)]
+    assert len(kept) == 1 + 2 * width
+    assert np.array_equal(kept[0], checked[0])  # the call that counts the blocks
     for stack in kept[1:]:
-        moved = (stack != np.array(checked)).reshape(3, -1, width).sum(axis=2)
+        moved = (stack != checked[0]).reshape(3, -1, width).sum(axis=2)
         assert np.all(moved == 1)
 
 
@@ -300,6 +328,16 @@ def test_gradient_check_names_a_block_values_blind_to_stacks(make, expected):
     bad = dataclasses.replace(p, block_values=make(p.block_values))
     with pytest.raises(ValueError, match=r"^ex1: block_values of a \(3, 24\) stack "
                                          r"of points has shape " + expected):
+        gradient_check(bad, num_points=3)
+
+
+def test_gradient_check_names_a_gradient_blind_to_stacks():
+    # a block problem whose gradient gives one row for a stack is named by
+    # the one vector check, not left to fail as a broadcast
+    p = build("ex1", 24)
+    bad = dataclasses.replace(p, gradient=lambda x: p.gradient(x[0]))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^gradient has shape \(24,\), expected \(3, 24\)$"):
         gradient_check(bad, num_points=3)
 
 

@@ -408,19 +408,22 @@ def test_invariant_checks_survive_python_O():
     assert proc.stdout.split() == ["False", "numerical_error", "1"]
 
 
-@pytest.mark.parametrize("run", [solve, gradient_check],
-                         ids=["solve", "gradient_check"])
+@pytest.mark.parametrize("run, short", [
+    (solve, r"\(11,\), expected \(12,\)"),
+    # gradient_check takes the gradients of its ten points as one stack,
+    # so the short result lacks a row
+    (gradient_check, r"\(9, 12\), expected \(10, 12\)"),
+], ids=["solve", "gradient_check"])
 @pytest.mark.parametrize("bad, error, message", [
     (lambda g: g + 1j, TypeError, "gradient is complex"),
-    (lambda g: g[:-1], DimensionMismatchError,
-     r"gradient has shape \(11,\), expected \(12,\)"),
+    (lambda g: g[:-1], DimensionMismatchError, r"gradient has shape {short}"),
 ], ids=["complex", "short"])
-def test_callback_gradient_is_checked_once(run, bad, error, message):
+def test_callback_gradient_is_checked_once(run, short, bad, error, message):
     # a float conversion would drop a complex gradient's imaginary part with
     # only a warning; both callers raise the one vector check's errors
     base = build("ex1", 12)
     problem = dataclasses.replace(base, gradient=lambda x: bad(base.gradient(x)))
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message.format(short=short)):
         run(problem)
 
 
@@ -602,3 +605,17 @@ def test_block_values_of_a_stack_are_those_of_its_rows(case, rows):
     assert values.shape == (rows + 1, len(problem.block_values(problem.x0)))
     for row, x in zip(values, stack):
         assert row.tobytes() == problem.block_values(x).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(bounded_block_problems(), st.integers(1, 5))
+def test_gradient_of_a_stack_is_that_of_its_rows(case, rows):
+    # gradient_check takes the gradients of a stack in one call, solve one
+    # point at a time
+    problem, _ = case
+    rng = np.random.default_rng(rows)
+    stack = np.vstack([problem.x0, rng.uniform(-2.0, 2.0, size=(rows, problem.n))])
+    g = problem.gradient(stack)
+    assert g.shape == stack.shape
+    for row, x in zip(g, stack):
+        assert row.tobytes() == problem.gradient(x).tobytes()
