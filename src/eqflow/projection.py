@@ -259,9 +259,9 @@ def _column_components(n, starts, cols, rows) -> np.ndarray:
     """
     label = np.arange(n)
     while True:
-        row_root = np.minimum.reduceat(label[cols], starts)
+        root = label[cols]
         new = label.copy()
-        np.minimum.at(new, label[cols], row_root[rows])
+        np.minimum.at(new, root, np.minimum.reduceat(root, starts)[rows])
         while True:
             jumped = new[new]
             if np.array_equal(jumped, new):
@@ -279,11 +279,12 @@ def factor(cs: ConstraintSystem) -> Projector:
     keeps the result as ``cs.projector``; the package does not export it.
 
     The connected components of the bipartite row/column graph of A are
-    grouped by shape (r rows, c columns), and each group's stacked (k, c, r)
-    blocks of A^T go through one batched ``np.linalg.qr``. One stable sort
-    of the rows and one of the used columns by (group, component) make each
-    group one run of each: groups in increasing (r, c), components by their
-    smallest column, and each component's rows and columns increasing.
+    grouped by shape (r rows, c columns). One stable sort of the rows and
+    one of the used columns by (group, component) make each group one run
+    of each: groups in increasing (r, c), components by their smallest
+    column, each component's rows and columns increasing. One scatter then
+    puts each stored entry of A into one buffer of every group's stacked
+    (k, c, r) blocks of A^T, and each stack goes through one batched QR.
 
     Raises
     ------
@@ -301,11 +302,10 @@ def factor(cs: ConstraintSystem) -> Projector:
             f"constraint matrix is rank deficient: row(s) {empty[:10].tolist()} "
             "have no nonzero entry"
         )
-    nz_cols, nz_rows = a.indices, a.rows
-    label = _column_components(n, a.indptr[:-1], nz_cols, nz_rows)
+    label = _column_components(n, a.indptr[:-1], a.indices, a.rows)
     # A component is named by its label, its smallest column.
-    row_label = label[nz_cols[a.indptr[:-1]]]
-    col_idx = np.flatnonzero(np.bincount(nz_cols, minlength=n))
+    row_label = label[a.indices[a.indptr[:-1]]]
+    col_idx = np.flatnonzero(np.bincount(a.indices, minlength=n))
     col_label = label[col_idx]
     r_count = np.bincount(row_label, minlength=n)
     c_count = np.bincount(col_label, minlength=n)
@@ -329,32 +329,30 @@ def factor(cs: ConstraintSystem) -> Projector:
                                    kind="stable")]
     # Each group's rows and an index-array at are views of these.
     row_order.flags.writeable = col_order.flags.writeable = False
-    # Each nonzero's place in its group's (k, c, r) stack of A^T blocks: the
-    # slot of its component in the group, and the rank of its column and of
-    # its row in the component.
-    row_slot, row_rank, col_rank = np.empty((3, n), dtype=np.intp)  # m < n
-    nz_group = group[row_label[nz_rows]]
-    nz_order = np.argsort(nz_group, kind="stable")
-    nz_start = _starts(nz_group, len(sizes))
-    rank_tol = _RANK_GATE * n
-    groups = []
-    row_end = col_end = 0
-    for g, (key, k) in enumerate(zip(shapes.tolist(), sizes.tolist())):
-        r, c = divmod(key, n + 1)
+    # One buffer holds every group's (k, c, r) stack of A^T blocks. Row l of
+    # component i of a group at start has offset start + i * c * r + l, its
+    # column j has j * r, and each stored entry of A goes to their sum.
+    r_of, c_of = np.divmod(shapes, n + 1)
+    stack = np.zeros(int(sizes @ (r_of * c_of)))
+    row_at, col_at = np.empty((2, n), dtype=np.intp)  # m < n
+    parts = []
+    row_end = col_end = start = 0
+    for r, c, k in zip(r_of.tolist(), c_of.tolist(), sizes.tolist()):
         rows = row_order[row_end:row_end + k * r].reshape(k, r)
         at = col_order[col_end:col_end + k * c]
         row_end, col_end = row_end + k * r, col_end + k * c
-        row_slot[rows] = np.arange(k)[:, None]
-        row_rank[rows] = np.arange(r)
-        col_rank[at.reshape(k, c)] = np.arange(c)
+        row_at[rows] = start + np.arange(0, k * c * r, c * r)[:, None] + np.arange(r)
+        col_at[at.reshape(k, c)] = np.arange(0, c * r, r)
         if (at[1:] - at[:-1] == 1).all():
             at = slice(int(at[0]), int(at[-1]) + 1)
-        nz = nz_order[nz_start[g]:nz_start[g + 1]]
-        blocks = np.zeros((k, c, r))
-        blocks[row_slot[nz_rows[nz]], col_rank[nz_cols[nz]], row_rank[nz_rows[nz]]] = a.data[nz]
+        parts.append((rows, at, stack[start:start + k * c * r].reshape(k, c, r)))
+        start += k * c * r
+    stack[row_at[a.rows] + col_at[a.indices]] = a.data
+    groups = []
+    for rows, at, blocks in parts:
         q, rr = np.linalg.qr(blocks)
         diag = np.abs(np.diagonal(rr, axis1=1, axis2=2))
-        bad = np.flatnonzero(diag.min(axis=1) <= rank_tol * diag.max(axis=1))
+        bad = np.flatnonzero(diag.min(axis=1) <= _RANK_GATE * n * diag.max(axis=1))
         if bad.size:
             raise RankDeficientError(
                 f"constraint matrix is rank deficient: rows "

@@ -3,7 +3,9 @@
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize
+from scipy.sparse.csgraph import connected_components
 
 from eqflow import make_feasible, project_gradient
 from eqflow.direction import CurvaturePair, curvature_gate
@@ -35,6 +37,34 @@ def group_columns(grp) -> np.ndarray:
     """The (k, c) variables of a block group, row i those of component i,
     as its column index ``at`` (a slice or an index array) picks them."""
     return np.r_[grp.at].reshape(grp.q.shape[:2])
+
+
+def components(A):
+    """(rows, columns) of each connected component of the bipartite
+    row/column graph of the CSRMatrix A that holds a row, each increasing,
+    as scipy labels the graph."""
+    m, n = A.shape
+    graph = sp.csr_matrix((np.ones(A.data.size), (A.rows, m + A.indices)),
+                          shape=(m + n, m + n))
+    _, label = connected_components(graph, directed=False)
+    rows, cols = {}, {}
+    for i, comp in enumerate(label[:m]):
+        rows.setdefault(comp, []).append(i)
+    for j, comp in enumerate(label[m:]):
+        cols.setdefault(comp, []).append(j)
+    return [(np.array(rows[comp]), np.array(cols[comp])) for comp in rows]
+
+
+def component_factors(A, b, rows, cols):
+    """q, r and b_r of one component of the CSRMatrix A, alone: its dense
+    block ``A[rows][:, cols].T`` through ``np.linalg.qr``, then a 1-D
+    ``np.linalg.solve`` of ``r^T b_r = b[rows]``."""
+    block = np.zeros((len(rows), len(cols)))
+    for l, i in enumerate(rows):
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        block[l, np.searchsorted(cols, A.indices[lo:hi])] = A.data[lo:hi]
+    q, r = np.linalg.qr(block.T)
+    return q, r, np.linalg.solve(r.T, b[rows])
 
 
 def gathered_to_null_space(cs, v, shifted: bool) -> np.ndarray:

@@ -6,6 +6,7 @@ independently of the component-wise QR path under test.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, ConstraintSystem,
                     project_gradient, residuals)
 from eqflow.projection import (_RANK_GATE, Projector, _column_components,
                                _to_null_space, factor)
-from oracles import (dense_feasible, dense_projection, gathered_multipliers,
+from oracles import (component_factors, components, dense_feasible,
+                     dense_projection, gathered_multipliers,
                      gathered_to_null_space, group_columns)
 
 
@@ -303,6 +305,22 @@ def test_factor_memory_linear_in_n():
     assert array_bytes(build("ex3", n).cs.projector) <= 100 * n
 
 
+@pytest.mark.parametrize("pid", ["ex1", "ex3", "ex8"])
+def test_factor_temporaries_linear_in_n(pid):
+    # ROADMAP item 9: at n = 48 000 factor peaks 12.0-14.5 float64 per
+    # variable beyond what it keeps on these three problems
+    n = 48000
+    cs = build(pid, n).cs
+    tracemalloc.start()
+    try:
+        projector = factor(cs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert projector.groups
+    assert (peak - kept) / (8 * n) <= 16
+
+
 def test_constraint_system_shape_validation():
     with pytest.raises(DimensionMismatchError):
         ConstraintSystem(A=np.ones((2, 2)), b=np.zeros(2))  # m == n
@@ -505,6 +523,27 @@ def assert_gather_oracle_bytes(cs, rng):
     return cs.projector
 
 
+def assert_factor_bytes(cs, sample=None):
+    """Each component's rows, the columns ``at`` gives it, and its q, r and
+    b_r in cs.projector have the bytes of ``component_factors``, the
+    component factored alone; for all components, or for ``sample`` of
+    them drawn at seeded random."""
+    where = {int(row): (grp, i) for grp in cs.projector.groups
+             for i, row in enumerate(grp.rows[:, 0])}
+    comps = components(cs.A)
+    assert len(where) == len(comps)
+    if sample is not None:
+        picks = np.random.default_rng(0).choice(len(comps), sample, replace=False)
+        comps = [comps[i] for i in picks]
+    for rows, cols in comps:
+        grp, i = where[rows[0]]
+        expected = (rows, cols) + component_factors(cs.A, cs.b, rows, cols)
+        got = (grp.rows[i], group_columns(grp)[i], grp.q[i], grp.r[i], grp.b_r[i])
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+
+
 def assert_index(grp, A, kind):
     """grp.at is of the given kind, and the columns it gives component i
     are the sorted union of the columns that the rows ``grp.rows[i]`` of
@@ -524,8 +563,9 @@ def assert_index(grp, A, kind):
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_benchmark_groups_read_slices(pid):
     rng = np.random.default_rng(17)
-    for n in (DESK_DIM, PAPER_DIMS[pid]):
+    for n, sample in ((DESK_DIM, None), (PAPER_DIMS[pid], 40)):
         cs = build(pid, n).cs
+        assert_factor_bytes(cs, sample)
         p = assert_gather_oracle_bytes(cs, rng)
         for grp in p.groups:
             assert_index(grp, cs.A, slice)
@@ -539,8 +579,9 @@ def test_slices_behind_free_leading_columns(pid, free):
     A = cs.A
     shifted = CSRMatrix(A.indptr, A.indices + free, A.data,
                         (A.shape[0], A.shape[1] + free))
-    p = assert_gather_oracle_bytes(ConstraintSystem(A=shifted, b=cs.b),
-                                   np.random.default_rng(free))
+    cs = ConstraintSystem(A=shifted, b=cs.b)
+    assert_factor_bytes(cs)
+    p = assert_gather_oracle_bytes(cs, np.random.default_rng(free))
     for grp in p.groups:
         assert_index(grp, shifted, slice)
         assert grp.at.start == free
@@ -550,6 +591,7 @@ def test_permuted_columns_take_the_index_path():
     cs = build("ex8", DESK_DIM).cs
     rng = np.random.default_rng(8)
     permuted = ConstraintSystem(A=cs.A.toarray()[:, rng.permutation(cs.n)], b=cs.b)
+    assert_factor_bytes(permuted)
     p = assert_gather_oracle_bytes(permuted, rng)
     for grp in p.groups:
         assert_index(grp, permuted.A, np.ndarray)
@@ -565,10 +607,20 @@ def test_interleaved_groups_take_the_index_path():
         A[2 * j, [5 * j, 5 * j + 2]] = rng.standard_normal(2)
         A[2 * j + 1, [5 * j + 1, 5 * j + 3, 5 * j + 4]] = rng.standard_normal(3)
     cs = ConstraintSystem(A=A, b=rng.standard_normal(2 * blocks))
+    assert_factor_bytes(cs)
     p = assert_gather_oracle_bytes(cs, rng)
     assert [group_columns(grp).shape for grp in p.groups] == [(blocks, 2), (blocks, 3)]
     for grp in p.groups:
         assert_index(grp, cs.A, np.ndarray)
+
+
+def test_mixed_shapes_factor_component_by_component_bytes():
+    # many components of five shapes, rows and columns permuted, some
+    # columns free: the batched factors are each component's alone
+    rng = np.random.default_rng(31)
+    shapes = [(1, 2), (2, 3), (1, 3), (3, 5), (2, 2)]
+    cs, _ = block_system(rng, [shapes[i] for i in rng.integers(0, 5, 60)], free=9)
+    assert_factor_bytes(cs)
 
 
 # ------------------------------------------------------- project_gradient

@@ -1,8 +1,8 @@
 """``tools/result_digest.py`` sees every output bit of a solve.
 
 The digests themselves depend on the BLAS kernel, so no value is pinned
-here: a digest must repeat, and must change when one bit of x*, lambda*
-or one history record changes.
+here: a digest must repeat, and must change when one bit of x*, lambda*,
+one history record or one projector factor changes.
 """
 
 import dataclasses
@@ -62,3 +62,15 @@ def test_projection_items_take_the_index_path():
         assert all(isinstance(grp.at, np.ndarray) for grp in cs.projector.groups)
         assert tool.projection_digest(cs, 0) == tool.projection_digest(make(120, 0), 0)
         assert tool.projection_digest(cs, 0) != tool.projection_digest(cs, 7)
+
+
+def test_factor_digest_sees_one_bit_of_q():
+    tool = _load()
+    for make in (lambda: build("ex3", 120).cs, lambda: tool.interleaved(120, 0)):
+        projector = make().projector
+        first = tool.factor_digest(projector)
+        assert tool.factor_digest(make().projector) == first
+        grp = projector.groups[-1]
+        q = _one_ulp_up(grp.q.ravel(), 5).reshape(grp.q.shape)
+        groups = projector.groups[:-1] + (dataclasses.replace(grp, q=q),)
+        assert tool.factor_digest(dataclasses.replace(projector, groups=groups)) != first

@@ -12,11 +12,14 @@ problem's block groups index their variables by a slice, so it also runs
 ``project_gradient``, ``make_feasible`` and ``multipliers`` on systems
 whose groups take the index-array path: ex8's constraints with the
 columns permuted by a seeded permutation, and interleaved 1x2 and 1x3
-components, each at n = 120 and 4800. Each item's digest covers every output bit: a solve's
-status, counts, f*, kkt, feas, x*, lambda* and every ``IterationRecord``;
-a check's name, n, point count, worst error and per-coordinate errors; a
-projection's three result vectors. The script prints one line per item
-and a last line with the digest of all items in order.
+components, each at n = 120 and 4800 with seeds 0 and 7. It also
+digests the projector of the 20 benchmark systems and of these 8.
+Each item's digest covers every output bit: a solve's status, counts,
+f*, kkt, feas, x*, lambda* and every ``IterationRecord``; a check's name,
+n, point count, worst error and per-coordinate errors; a projection's
+three result vectors; a projector's rows, columns, q, r and b_r of every
+block group. The script prints one line per item and a last line with
+the digest of all items in order.
 
 The digest depends on the BLAS kernel: OpenBLAS picks one per machine
 (``OPENBLAS_CORETYPE`` overrides it for one process), and different
@@ -84,6 +87,13 @@ def projection_digest(cs, seed) -> str:
                    multipliers(cs, g)))
 
 
+def factor_digest(projector) -> str:
+    """Hex SHA-256 of every block group of a Projector: its rows, the
+    columns its ``at`` gives, q, r and b_r."""
+    return digest(tuple((grp.rows, np.r_[grp.at], grp.q, grp.r, grp.b_r)
+                        for grp in projector.groups))
+
+
 def permuted_ex8(n, seed) -> ConstraintSystem:
     """ex8's constraints at n with column j moved to a seeded perm[j]."""
     cs = build("ex8", n).cs
@@ -105,7 +115,8 @@ def interleaved(n, seed) -> ConstraintSystem:
 
 def items():
     """(label, digest) of each solve, then of each gradient check, then of
-    each solve again on the same problem, then of each projection on
+    each solve again on the same problem, then of each problem's projector,
+    then of the projector and the projections of each system with
     index-array groups."""
     problems = ([build(pid, DESK_DIM) for pid in PROBLEM_IDS]
                 + [build(pid, PAPER_DIMS[pid]) for pid in PROBLEM_IDS])
@@ -122,11 +133,15 @@ def items():
                    check_digest(gradient_check(p, POINTS, seed)))
     for p in problems:
         yield f"solve again {p.name} n={p.n}", solve_digest(solve(p))
+    for p in problems:
+        yield f"factor {p.name} n={p.n}", factor_digest(p.cs.projector)
     for make in (permuted_ex8, interleaved):
         for n in (DESK_DIM, 4800):
             for seed in SEEDS:
-                yield (f"project {make.__name__} n={n} seed={seed}",
-                       projection_digest(make(n, seed), seed))
+                cs = make(n, seed)
+                label = f"{make.__name__} n={n} seed={seed}"
+                yield f"factor {label}", factor_digest(cs.projector)
+                yield f"project {label}", projection_digest(cs, seed)
 
 
 def main() -> int:
