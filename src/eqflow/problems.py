@@ -4,9 +4,10 @@ Each problem minimizes a separable polynomial objective subject to a
 block-banded system of linear equality constraints.  ``_TABLE`` is the
 definition: one entry per problem gives the monomial terms of an
 objective block, one block of constraint rows, the start point, the
-benchmark size and the known optimum.  One evaluator turns an entry into
-the objective, its gradient and the per-block objective values,
-vectorized over the blocks; the gradient is derived from the terms by one
+benchmark size and the known optimum.  Each entry is compiled once, at
+import, into straight-line numpy code for the per-block objective values
+and the gradient, vectorized over the blocks; each distinct product is
+formed once per call.  The gradient is derived from the terms by one
 rule, not written by hand, so ``gradient_check`` tests that rule.
 Integer powers are formed by square-and-multiply rather than numpy's
 ``**``, whose integer exponents above 2 on a negative base take libm's
@@ -118,42 +119,99 @@ def _monomial(coef, exponents):
     return (None if coef == 1 and factors else float(coef)), factors
 
 
-def _power(v, e):
-    """``v ** e`` for an integer e >= 1 by square-and-multiply.
+def _monomials(spec):
+    """The objective's monomials and, for each of the ``width`` block
+    columns, those of its derivative.
 
-    numpy's ``**`` sends an integer exponent above 2 on a negative base down
-    libm's slow ``pow`` path. Square-and-multiply (Knuth, TAOCP vol. 2,
-    4.6.3) takes one multiply per bit of e and one more per set bit after
-    the first. For e = 1 it returns ``v`` itself and for e = 2 ``v * v``, bit
-    for bit what ``**`` gives. For e >= 3 it forms a product of e copies of
-    v, whose relative error is at most about (e - 1) * eps_mach / 2
-    (Higham, Accuracy and Stability, 3.1): a few ulps from ``pow``.
+    The derivatives follow one rule: d/dx_k of ``c * x_k ** e * r`` is
+    ``(c * e) * x_k ** (e - 1) * r``.
     """
-    result = None
-    while True:
-        if e & 1:
-            result = v if result is None else result * v
-        e >>= 1
-        if not e:
-            return result
-        v = v * v
+    terms = [_monomial(c, exponents) for c, exponents in spec.terms]
+    derived = [[_monomial(c * e[k], e[:k] + (e[k] - 1,) + e[k + 1:])
+                for c, e in spec.terms if e[k]] for k in range(spec.width)]
+    return terms, derived
 
 
-def _sum(monomials, y):
-    """Sum of the monomials over the block columns y, or None if empty.
+def _program(spec):
+    """Source of ``block_values`` and ``gradient`` for a table entry, as
+    straight-line code, and the scope that binds its names.
 
-    Products run left to right, coefficient first. Each power is formed by
-    square-and-multiply (``_power``): exact as written for e <= 2, a few
-    ulps from ``pow`` for e >= 3.
+    Each function reads the columns of a stack of points, flattened, as
+    the views ``flat[k::w]`` (entry k of every block of every point, since
+    w divides n) and subtracts their shifts. It forms each power by
+    square-and-multiply: ``v ** e`` is ``v ** (e - t) * v ** t`` for the
+    top bit t of e, and ``v ** t * v ** t`` for e = 2t; so ``v ** 1`` and
+    ``v ** 2`` are exact as written, and a higher power is a product of e
+    copies of v, a few ulps from ``pow`` (Higham, Accuracy and Stability,
+    3.1). Products run left to right, coefficient first, and so do sums.
+    Each distinct operation is one line, whose value every later use in
+    that function shares, and each value is deleted after its last use,
+    so no more arrays are alive at once than the operations need. The
+    source holds names and integers only: each float (coefficient, shift
+    or derived constant) is a name in the scope.
     """
-    total = None
-    for coef, factors in monomials:
-        value = coef
-        for k, e in factors:
-            power = _power(y[k], e)
-            value = power if value is None else value * power
-        total = value if total is None else total + value
-    return total
+    w, shift = spec.width, dict(enumerate(spec.shift))
+    terms, derived = _monomials(spec)
+    scope = {"__name__": __name__, "empty": np.empty}  # warnings name this module
+    floats = {}  # float.hex(value) -> name, so 0.0 and -0.0 stay apart
+
+    def bind(value):
+        key = float(value).hex()
+        if key not in floats:
+            floats[key] = f"c{len(floats)}"
+            scope[floats[key]] = float(value)
+        return floats[key]
+
+    def function(header, sums, store):
+        """The function's lines: its header, the sums, each ``store``d."""
+        names, steps = {}, []  # steps: (statement, the values it reads)
+
+        def line(a, op=None, b=None):
+            """The name of ``a op b``, or of ``a``, given a line if new."""
+            expr = a if op is None else f"{a} {op} {b}"
+            if expr not in names:
+                names[expr] = f"t{len(names)}"
+                steps.append((f"{names[expr]} = {expr}", (a, b)))
+            return names[expr]
+
+        def power(k, e):
+            if e == 1:
+                view = f"flat[{k}::{w}]"
+                return line(view, "-", bind(shift[k])) if shift.get(k) else line(view)
+            top = 1 << (e.bit_length() - 1)
+            if e == top:
+                half = power(k, top >> 1)
+                return line(half, "*", half)
+            return line(power(k, e - top), "*", power(k, top))
+
+        for k, monomials in enumerate(sums):
+            total = None
+            for coef, factors in monomials:
+                value = None if coef is None else bind(coef)
+                for j, e in factors:
+                    p = power(j, e)
+                    value = p if value is None else line(value, "*", p)
+                total = value if total is None else line(total, "+", value)
+            total = bind(0.0) if total is None else total
+            steps.append((store(k, total), (total,)))
+        last = {value: i for i, (_, reads) in enumerate(steps) for value in reads}
+        lines = [header, "    flat = x.reshape(-1)"]
+        for i, (statement, _) in enumerate(steps):
+            lines.append(f"    {statement}")
+            dead = [v for v in names.values() if last.get(v) == i]
+            if dead and i + 1 < len(steps):
+                lines.append(f"    del {', '.join(dead)}")
+        return lines
+
+    block_values = function(
+        "def block_values(x):", [terms],
+        lambda k, total: f"return {total}.reshape(x.shape[:-1] + (-1,))")
+    gradient = function("def gradient(x):\n    out = empty(x.size)", derived,
+                        lambda k, g: f"out[{k}::{w}] = {g}")
+    # solve passes single points; for them the reshape would add 2-3% to a
+    # call at n = 120
+    gradient.append("    return out if x.ndim == 1 else out.reshape(x.shape)")
+    return "\n".join(block_values + gradient) + "\n", scope
 
 
 def _evaluator(spec):
@@ -161,44 +219,20 @@ def _evaluator(spec):
     over the blocks; ``gradient`` and ``block_values`` also over a stack of
     points.
 
-    The gradient is derived by one rule: d/dx_k of ``c * x_k ** e * r`` is
-    ``(c * e) * x_k ** (e - 1) * r``. ``block_values`` returns the objective
-    term of every block, without ``const``; the objective is ``const`` plus
-    its sum.
+    ``block_values`` and ``gradient`` are compiled once from
+    ``_program``'s source. ``block_values`` returns the objective term of
+    every block, without ``const``; the objective is ``const`` plus its
+    sum.
     """
-    w, const = spec.width, spec.const
-    shifted = [(k, s) for k, s in enumerate(spec.shift) if s]
-    terms = [_monomial(c, exponents) for c, exponents in spec.terms]
-    derived = [[_monomial(c * e[k], e[:k] + (e[k] - 1,) + e[k + 1:])
-                for c, e in spec.terms if e[k]] for k in range(w)]
-
-    def columns(x):
-        # a stack of points, flattened, holds entry k of every block of
-        # every point at [k::w], since w divides n
-        flat = x.reshape(-1)
-        y = [flat[k::w] for k in range(w)]
-        for k, s in shifted:
-            y[k] = y[k] - s
-        return y
-
-    def block_values(x):
-        return _sum(terms, columns(x)).reshape(x.shape[:-1] + (-1,))
+    source, scope = _program(spec)
+    exec(compile(source, "<eqflow.problems._program>", "exec"), scope)
+    block_values, const = scope["block_values"], spec.const
 
     def objective(x):
         f = float(block_values(x).sum())
         return f + const if const else f
 
-    def gradient(x):
-        y = columns(x)
-        flat = np.empty(x.size)  # laid out as columns' flat x
-        for k, monomials in enumerate(derived):
-            g = _sum(monomials, y)
-            flat[k::w] = 0.0 if g is None else g
-        # solve passes single points; for them the reshape would add 2-3%
-        # to a call at n = 120
-        return flat if x.ndim == 1 else flat.reshape(x.shape)
-
-    return objective, gradient, block_values
+    return objective, scope["gradient"], block_values
 
 
 _TABLE = {

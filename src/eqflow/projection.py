@@ -348,6 +348,10 @@ def factor(cs: ConstraintSystem) -> Projector:
         parts.append((rows, at, stack[start:start + k * c * r].reshape(k, c, r)))
         start += k * c * r
     stack[row_at[a.rows] + col_at[a.indices]] = a.data
+    # the grouping's arrays would otherwise stay alive beside the QR's and
+    # set factor's peak
+    del label, row_label, col_idx, col_label, r_count, c_count, comps, comp_group
+    del group, row_at, col_at
     groups = []
     for rows, at, blocks in parts:
         q, rr = np.linalg.qr(blocks)

@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from eqflow import make_feasible, project_gradient
 from eqflow.direction import CurvaturePair, curvature_gate
+from eqflow.problems import _monomials
 
 
 def dense_projection(A) -> np.ndarray:
@@ -160,3 +161,76 @@ def grouped_check_errors(problem, num_points: int, seed: int) -> np.ndarray:
         err = np.abs(fd - g) / (1.0 + np.abs(g))
         worst = np.maximum(worst, err)
     return worst
+
+
+def power(v, e):
+    """``v ** e`` for an integer e >= 1 by square-and-multiply.
+
+    numpy's ``**`` sends an integer exponent above 2 on a negative base down
+    libm's slow ``pow`` path. Square-and-multiply (Knuth, TAOCP vol. 2,
+    4.6.3) takes one multiply per bit of e and one more per set bit after
+    the first. For e = 1 it returns ``v`` itself and for e = 2 ``v * v``, bit
+    for bit what ``**`` gives. For e >= 3 it forms a product of e copies of
+    v, whose relative error is at most about (e - 1) * eps_mach / 2
+    (Higham, Accuracy and Stability, 3.1): a few ulps from ``pow``.
+    """
+    result = None
+    while True:
+        if e & 1:
+            result = v if result is None else result * v
+        e >>= 1
+        if not e:
+            return result
+        v = v * v
+
+
+def _monomial_sum(monomials, y):
+    """Sum of the monomials over the block columns y, or None if empty.
+
+    Products run left to right, coefficient first, each power formed by
+    ``power``; the terms are summed left to right.
+    """
+    total = None
+    for coef, factors in monomials:
+        value = coef
+        for k, e in factors:
+            p = power(y[k], e)
+            value = p if value is None else value * p
+        total = value if total is None else total + value
+    return total
+
+
+def reference_evaluator(spec):
+    """Objective, gradient and per-block values of a table entry,
+    interpreted term by term: the bit-exact reference for the compiled
+    ``eqflow.problems._evaluator``, which makes the same operations
+    without repeating one."""
+    w, const = spec.width, spec.const
+    shifted = [(k, s) for k, s in enumerate(spec.shift) if s]
+    terms, derived = _monomials(spec)
+
+    def columns(x):
+        # a stack of points, flattened, holds entry k of every block of
+        # every point at [k::w], since w divides n
+        flat = x.reshape(-1)
+        y = [flat[k::w] for k in range(w)]
+        for k, s in shifted:
+            y[k] = y[k] - s
+        return y
+
+    def block_values(x):
+        return _monomial_sum(terms, columns(x)).reshape(x.shape[:-1] + (-1,))
+
+    def objective(x):
+        f = float(block_values(x).sum())
+        return f + const if const else f
+
+    def gradient(x):
+        y = columns(x)
+        flat = np.empty(x.size)  # laid out as columns' flat x
+        for k, monomials in enumerate(derived):
+            g = _monomial_sum(monomials, y)
+            flat[k::w] = 0.0 if g is None else g
+        return flat if x.ndim == 1 else flat.reshape(x.shape)
+
+    return objective, gradient, block_values

@@ -1,7 +1,11 @@
 """Benchmark problem construction: formulas, constraints, starts, optima."""
 
 import dataclasses
+import io
 import math
+import tokenize
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +17,10 @@ from eqflow import (DESK_DIM, BadDimensionError, ConstraintSystem,
                     DimensionMismatchError, NonFiniteError, PAPER_DIMS,
                     PROBLEM_IDS, Problem, build, gradient_check, known_optima,
                     make_feasible, project_gradient)
-from eqflow.problems import _EVALUATORS, _TABLE, _Spec, _evaluator, _power
+from eqflow.problems import _EVALUATORS, _TABLE, _Spec, _evaluator, _program
 from eqflow.projection import _to_null_space
-from oracles import ex8_block_minimum, grouped_check_errors
+from oracles import (ex8_block_minimum, grouped_check_errors, power,
+                     reference_evaluator)
 
 FEASIBLE_STARTS = ("ex1", "ex5", "ex9", "ex10")
 INFEASIBLE_STARTS = ("ex2", "ex3", "ex4", "ex6", "ex7", "ex8")
@@ -475,14 +480,14 @@ _POWER_BASES = np.concatenate([
 
 @pytest.mark.parametrize("e", [1, 2])
 def test_power_low_exponents_match_numpy_bit_for_bit(e):
-    assert _power(_POWER_BASES, e).tobytes() == (_POWER_BASES ** e).tobytes()
+    assert power(_POWER_BASES, e).tobytes() == (_POWER_BASES ** e).tobytes()
 
 
 @pytest.mark.parametrize("e", range(3, 9))
 def test_power_is_within_e_ulps_of_pow(e):
     # any product of e copies of v carries at most e - 1 roundings
     # (Higham, Accuracy and Stability, section 3.1); pow adds one more
-    got = _power(_POWER_BASES, e)
+    got = power(_POWER_BASES, e)
     want = np.array([math.pow(v, e) for v in _POWER_BASES])
     assert np.all(np.abs(got - want) <= e * np.finfo(float).eps * np.abs(want))
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -492,7 +497,7 @@ def test_power_is_within_e_ulps_of_pow(e):
 def test_power_overflow_is_inf_as_with_numpy(e):
     v = np.array([1e200, -1e200, 2.0])
     with pytest.warns(RuntimeWarning, match="overflow"):
-        got = _power(v, e)
+        got = power(v, e)
     with np.errstate(over="ignore"):
         want = v ** e
     assert got.tobytes() == want.tobytes()
@@ -517,6 +522,118 @@ def test_evaluator_takes_no_power_above_two(pid):
     for call in _EVALUATORS[pid]:
         got, want = call(x.view(NoPow)), call(x)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# ------------------------------------- the compiled evaluator, bit for bit
+
+def _evaluations(evaluator, x):
+    """Every result an evaluator gives at x, as bytes, and the distinct
+    warnings raised on the way."""
+    objective, gradient, block_values = evaluator
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = [np.asarray(block_values(x)).tobytes(),
+                   np.asarray(gradient(x)).tobytes()]
+        if x.ndim == 1:
+            results.append(np.float64(objective(x)).tobytes())
+    return results, {(w.category, str(w.message)) for w in caught}
+
+
+def _hard_points(n, seed):
+    """A point with signed zeros, tiny entries and entries whose powers
+    overflow among ordinary ones."""
+    x = np.random.default_rng(seed).uniform(-2.5, 2.5, n)
+    special = [0.0, -0.0, 1e-200, -1e-170, 1e80, -1e80, 1e160, -1e200]
+    x[::7][:len(special)] = special
+    return x
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_compiled_evaluator_matches_the_reference_bytes(pid):
+    spec = _TABLE[pid]
+    reference = reference_evaluator(spec)
+    raised = set()
+    for n in (DESK_DIM, spec.paper_n):
+        x = _hard_points(n, n)
+        for point in (x, np.stack([x, _hard_points(n, n + 1)[::-1], -x])):
+            got = _evaluations(_EVALUATORS[pid], point)
+            assert got == _evaluations(reference, point)
+            raised |= got[1]
+    # the hard points do reach the overflow path
+    assert (RuntimeWarning, "overflow encountered in multiply") in raised
+
+
+def test_compiled_evaluator_keeps_signed_zeros_apart():
+    # the derivatives 0.0 * x and -0.0 sum to -0.0 where x < 0
+    spec = _Spec(1, ((0.0, (2,)), (-0.0, (1,))), ((1.0,),), (1.0,), (0.0,), 4)
+    x = np.array([-1.0, -0.5, 0.5, 2.0])
+    assert (_evaluations(_evaluator(spec), x)
+            == _evaluations(reference_evaluator(spec), x))
+
+
+class Counting(np.ndarray):
+    """An array that counts the ufunc calls made on it and on every array
+    computed from it."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        Counting.calls += 1
+        inputs = [v.view(np.ndarray) if isinstance(v, Counting) else v
+                  for v in inputs]
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        return result.view(Counting) if isinstance(result, np.ndarray) else result
+
+
+def _ufunc_calls(call, x):
+    Counting.calls = 0
+    call(x.view(Counting))
+    return Counting.calls
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_compiled_evaluator_makes_no_more_ufunc_calls(pid):
+    x = np.linspace(-1.7, 1.3, 24)
+    _, gradient, block_values = _EVALUATORS[pid]
+    _, ref_gradient, ref_block_values = reference_evaluator(_TABLE[pid])
+    got = _ufunc_calls(block_values, x), _ufunc_calls(gradient, x)
+    want = _ufunc_calls(ref_block_values, x), _ufunc_calls(ref_gradient, x)
+    assert got[0] <= want[0] and got[1] <= want[1]
+    if pid == "ex8":  # y0 * y0, and 2 * y0 in two derivatives, formed once
+        assert (want, got) == ((13, 16), (12, 14))
+
+
+def _peak_per_variable(call, x):
+    tracemalloc.start()
+    try:
+        call(x)
+        return tracemalloc.get_traced_memory()[1] / (8 * x.size)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_compiled_evaluator_holds_no_more_memory(pid):
+    # each value dies after its last use, so a call peaks no higher than
+    # the reference's; kept alive to the return, ex8's gradient would
+    # peak 5.7 float64 per variable against 2.7
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, 48000)
+    _, gradient, block_values = _EVALUATORS[pid]
+    _, ref_gradient, ref_block_values = reference_evaluator(_TABLE[pid])
+    for call, reference in ((block_values, ref_block_values), (gradient, ref_gradient)):
+        assert (_peak_per_variable(call, x)
+                <= _peak_per_variable(reference, x) + 0.01)
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_compiled_source_holds_no_float_literal(pid):
+    source, scope = _program(_TABLE[pid])
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    numbers = {t.string for t in tokens if t.type == tokenize.NUMBER}
+    assert all(number.isdigit() for number in numbers)
+    assert not any(t.type == tokenize.STRING for t in tokens)
+    floats = {name: v for name, v in scope.items() if isinstance(v, float)}
+    assert floats and all(name in source for name in floats)
 
 
 @pytest.mark.parametrize("terms, want", [
@@ -588,3 +705,6 @@ def test_evaluator_derives_objective_and_gradient(case):
             e[i] = h
             fd = (objective(x + e) - objective(x - e)) / (2.0 * h)
             assert abs(fd - g[i]) <= 1e-6 * (1.0 + abs(g[i])) + 1e-9 * scale
+    compiled, reference = (objective, gradient, block_values), reference_evaluator(spec)
+    assert all(_evaluations(compiled, x) == _evaluations(reference, x)
+               for x in (points, *points))
