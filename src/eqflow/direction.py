@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .projection import _vector
+from .projection import _dot, _vector
 
 # The quasi-Newton pair is used only when |s.y| > _THETA * ||s||^2.
 _THETA = 1e-6
@@ -40,10 +40,9 @@ class CurvaturePair:
 
     @classmethod
     def from_step(cls, s, y) -> "CurvaturePair":
-        s = _vector(s, np.size(s), "step")
-        y = _vector(y, s.size, "gradient change")
-        return cls(s=s, y=y, s_dot_y=float(s @ y), s_sq=float(s @ s),
-                   y_sq=float(y @ y))
+        s = _vector(s, (np.size(s),), "step")
+        y = _vector(y, s.shape, "gradient change")
+        return cls(s=s, y=y, s_dot_y=_dot(s, y), s_sq=_dot(s, s), y_sq=_dot(y, y))
 
 
 def curvature_gate(pair: Optional[CurvaturePair]) -> bool:
@@ -57,11 +56,11 @@ def direction(pg, pair: Optional[CurvaturePair]) -> np.ndarray:
     """Return d = -H @ pg for the gated rank-two H (identity if gate fails),
     assembled in place as the module docstring says."""
     if not curvature_gate(pair):
-        return -_vector(pg, np.size(pg), "projected gradient")
-    pg = _vector(pg, pair.s.size, "projected gradient")
+        return -_vector(pg, (np.size(pg),), "projected gradient")
+    pg = _vector(pg, pair.s.shape, "projected gradient")
     c = pair.s_dot_y
-    s_pg = float(pair.s @ pg)
-    y_pg = float(pair.y @ pg)
+    s_pg = _dot(pair.s, pg)
+    y_pg = _dot(pair.y, pg)
     d = pair.y * s_pg
     t = pair.s * y_pg
     d += t

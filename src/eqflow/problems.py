@@ -4,23 +4,24 @@ Each problem minimizes a separable polynomial objective subject to a
 block-banded system of linear equality constraints.  ``_TABLE`` is the
 definition: one entry per problem gives the monomial terms of an
 objective block, one block of constraint rows, the start point, the
-benchmark size and the known optimum.  Each entry is compiled once, at
-import, into straight-line numpy code for the per-block objective values
-and the gradient, vectorized over the blocks; each distinct product is
-formed once per call.  The gradient is derived from the terms by one
-rule, not written by hand, so ``gradient_check`` tests that rule.
-Integer powers are formed by square-and-multiply rather than numpy's
-``**``, whose integer exponents above 2 on a negative base take libm's
-slow ``pow``: exact for exponents 1 and 2, a few ulps from ``pow`` above.
-The check reads the per-block values (``Problem.block_values``): it moves
-one coordinate of every block at once, and each difference carries the
-rounding error of one block, not of the whole sum.  Constraint matrices
-are assembled sparse (CSR), and the projection layer factors their blocks
-one component at a time.  ``ex1`` and ``ex3`` have closed-form optima;
-the other problems carry reference objective values at their benchmark
-sizes.
+benchmark size and the known optimum.  Each entry is compiled once, when
+it is first built, into straight-line numpy code for the per-block
+objective values and the gradient, vectorized over the blocks; each
+distinct product is formed once per call.  The gradient is derived from
+the terms by one rule, not written by hand, so ``gradient_check`` tests
+that rule.  Integer powers are formed by square-and-multiply rather than
+numpy's ``**``, whose integer exponents above 2 on a negative base take
+libm's slow ``pow``: exact for exponents 1 and 2, a few ulps from
+``pow`` above. The check reads the per-block values
+(``Problem.block_values``): it moves one coordinate of every block at
+once, and each difference carries the rounding error of one block, not
+of the whole sum.  Constraint matrices are assembled sparse (CSR), and
+the projection layer factors their blocks one component at a time.
+``ex1`` and ``ex3`` have closed-form optima; the other problems carry
+reference objective values at their benchmark sizes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -263,7 +264,8 @@ _TABLE = {
 }
 PROBLEM_IDS = tuple(_TABLE)
 PAPER_DIMS = {pid: spec.paper_n for pid, spec in _TABLE.items()}
-_EVALUATORS = {pid: _evaluator(spec) for pid, spec in _TABLE.items()}
+# by id, not spec: specs that differ only in a zero's sign compare equal
+_compiled = functools.cache(lambda problem_id: _evaluator(_TABLE[problem_id]))
 
 
 def known_optima(problem_id: str, n: int) -> Optional[Tuple[Optional[np.ndarray], float]]:
@@ -303,7 +305,7 @@ def build(problem_id: str, n: int) -> Problem:
         raise BadDimensionError(
             f"{problem_id} needs n to be a positive multiple of {div}, got {n}"
         )
-    objective, gradient, block_values = _EVALUATORS[problem_id]
+    objective, gradient, block_values = _compiled(problem_id)
     A, b = _block_constraints(n, spec.rows, spec.rhs)
     x0 = np.resize(np.asarray(spec.start, dtype=float), n)
     x0[:len(spec.head)] = spec.head
@@ -337,8 +339,7 @@ def _gradient_rows(gradient):
     """A gradient of one point as one of stacks, ``(rows, n)`` to
     ``(rows, n)``: a call per ``(n,)`` row, each result checked as
     ``solve`` checks it."""
-    return lambda stack: np.array([_vector(np.asarray(gradient(x)).ravel(),
-                                           stack.shape[1], "gradient")
+    return lambda stack: np.array([_vector(gradient(x), stack.shape[1], "gradient")
                                    for x in stack])
 
 

@@ -45,19 +45,31 @@ def _starts(keys, size):
 
 
 def _vector(v, shape, name="vector") -> np.ndarray:
-    """v as a float array of the given shape, ``(shape,)`` for an int and a
-    tuple as it is (a stack of vectors); callers that accept any shape with
-    ``shape`` entries pass ``np.asarray(v).ravel()``. A complex v raises
-    TypeError, any other shape DimensionMismatchError."""
+    """v as a float array: for an int shape any array with that many
+    entries, flattened; for a tuple exactly that shape (a stack of vectors,
+    or a strict 1-D one). A complex v raises TypeError, any other shape
+    DimensionMismatchError."""
     v = np.asarray(v)
+    if type(shape) is not tuple:
+        v, shape = v.ravel(), (shape,)
     if v.dtype != float:
         if v.dtype.kind == "c":
             raise TypeError(f"{name} is complex; only real values are accepted")
         v = v.astype(float)
-    if v.shape != (shape if type(shape) is tuple else (shape,)):
-        expected = tuple(int(d) for d in np.atleast_1d(shape))
+    if v.shape != shape:
+        expected = tuple(int(d) for d in shape)
         raise DimensionMismatchError(f"{name} has shape {v.shape}, expected {expected}")
     return v
+
+
+def _dot(a, b) -> float:
+    """a.b of two float vectors (BLAS ddot): the solve path's inner product."""
+    return float(a @ b)
+
+
+def _infeasibility(cs: "ConstraintSystem", x) -> float:
+    """max |Ax - b| over the rows of cs: the one feasibility measure."""
+    return float(np.abs(cs.A @ x - cs.b).max())
 
 
 def _require_finite(values, name_of_entry):
@@ -79,7 +91,7 @@ class CSRMatrix:
     constructor are summed, in the order given. Explicitly stored zeros
     are kept. Complex entries raise TypeError. The constructor copies its
     arrays into read-only ones, so no later change reaches the matrix.
-    ``A @ x`` and ``A.T @ y`` take 1-D vectors.
+    ``A @ x`` and ``A.T @ y`` take 1-D vectors; ``toarray()`` densifies.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -89,7 +101,7 @@ class CSRMatrix:
         indptr = np.array(indptr, dtype=np.intp)
         indices = np.array(indices, dtype=np.intp)
         data = np.array(data, dtype=float)
-        if (indptr.shape != (m + 1,) or indptr[0] != 0
+        if (min(m, n) < 0 or indptr.shape != (m + 1,) or indptr[0] != 0
                 or np.any(np.diff(indptr) < 0)
                 or not indptr[-1] == indices.size == data.size
                 or np.any((indices < 0) | (indices >= n))):
@@ -125,7 +137,7 @@ class CSRMatrix:
         return cls(_starts(rows, a.shape[0]), cols, a[rows, cols], a.shape)
 
     def __matmul__(self, x) -> np.ndarray:
-        x = _vector(x, self.shape[1])
+        x = _vector(x, self.shape[1:])
         return np.bincount(self.rows, weights=self.data * x[self.indices],
                            minlength=self.shape[0])
 
@@ -138,14 +150,6 @@ class CSRMatrix:
         out[self.rows, self.indices] = self.data
         return out
 
-    def __array__(self, dtype=None, copy=None):
-        """A new dense array; ``copy=False`` raises ValueError, since no
-        dense array exists to share."""
-        if copy is False:
-            raise ValueError("a CSRMatrix has no dense array to return "
-                             "without a copy; use toarray()")
-        return self.toarray() if dtype is None else self.toarray().astype(dtype)
-
 
 class _Transposed:
     """The transpose of a CSRMatrix, for ``A.T @ y``."""
@@ -156,7 +160,7 @@ class _Transposed:
 
     def __matmul__(self, y) -> np.ndarray:
         a = self._a
-        y = _vector(y, a.shape[0])
+        y = _vector(y, a.shape[:1])
         return np.bincount(a.indices, weights=a.data * y[a.rows],
                            minlength=a.shape[1])
 
@@ -189,7 +193,7 @@ class ConstraintSystem:
             raise DimensionMismatchError(
                 f"constraint matrix must satisfy 1 <= m < n, n >= 2, got m={m} n={n}"
             )
-        b = _vector(np.asarray(self.b).ravel(), m, "right-hand side").copy()
+        b = _vector(self.b, m, "right-hand side").copy()
         b.flags.writeable = False
         _require_finite(A.data, lambda k: "constraint matrix entry "
                         f"A[{A.rows[k]}, {A.indices[k]}]")
@@ -413,14 +417,14 @@ def _to_null_space(cs: ConstraintSystem, v, shifted: bool) -> np.ndarray:
 
 def _start_point(x0, n) -> np.ndarray:
     """x0, n real and finite entries, as a float array of shape (n,)."""
-    x0 = _vector(np.asarray(x0).ravel(), n, "initial point")
+    x0 = _vector(x0, n, "initial point")
     _require_finite(x0, lambda i: f"initial point entry x0[{i}]")
     return x0
 
 
 def project_gradient(cs: ConstraintSystem, g) -> np.ndarray:
     """Project g onto the null space of cs.A (the component with A @ Pg = 0)."""
-    return _to_null_space(cs, _vector(np.asarray(g).ravel(), cs.n, "gradient"), False)
+    return _to_null_space(cs, _vector(g, cs.n, "gradient"), False)
 
 
 def make_feasible(cs: ConstraintSystem, x0) -> np.ndarray:
@@ -437,7 +441,7 @@ def multipliers(cs: ConstraintSystem, g) -> np.ndarray:
     Satisfies g + A^T lam = Pg, which makes the stationarity residual
     ``||g + A^T lam||`` identical to ``||Pg||``.
     """
-    g = _vector(np.asarray(g).ravel(), cs.n, "gradient")
+    g = _vector(g, cs.n, "gradient")
     lam = np.empty(cs.m)
     for grp in cs.projector.groups:
         coef = _coefficients(grp.q, grp.at, g, ())
@@ -450,6 +454,5 @@ def residuals(cs: ConstraintSystem, x, g, lam) -> Tuple[float, float]:
 
     ``lam`` are the multipliers at g, as returned by :func:`multipliers`.
     """
-    kkt = _vector(np.asarray(g).ravel(), cs.n, "gradient") + cs.A.T @ lam
-    feas = cs.A @ _vector(np.asarray(x).ravel(), cs.n, "point") - cs.b
-    return float(np.max(np.abs(kkt))), float(np.max(np.abs(feas)))
+    kkt = _vector(g, cs.n, "gradient") + cs.A.T @ lam
+    return float(np.max(np.abs(kkt))), _infeasibility(cs, _vector(x, cs.n, "point"))

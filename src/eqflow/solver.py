@@ -23,8 +23,8 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .direction import CurvaturePair, direction
-from .projection import (_vector, make_feasible, multipliers, project_gradient,
-                         residuals)
+from .projection import (_dot, _infeasibility, _vector, make_feasible, multipliers,
+                         project_gradient, residuals)
 
 # Trust-region constants of the time step. A trial is accepted when its
 # ratio rho exceeds _ETA_A. dt grows by _GAMMA1 when |1 - rho| <= _ETA1,
@@ -53,21 +53,22 @@ class Status(str, Enum):
     NUMERICAL_ERROR = "numerical_error"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """What a caller chooses for a solve; the rest of the recipe is fixed.
 
     eps terminates on ``||pg||_inf <= eps``, dt0 seeds the time step and
     max_iter caps the loop iterations, rejected trials included. The
     trust-region thresholds and the dt bounds are constants of this
-    module, the curvature gate one of :mod:`eqflow.direction`.
+    module, the curvature gate one of :mod:`eqflow.direction`. A config
+    is checked when it is made: a bad value raises ValueError.
     """
 
     eps: float = 1e-6
     dt0: float = 1e-2
     max_iter: int = 10000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not _DT_MIN <= self.dt0 <= _DT_MAX:
@@ -112,7 +113,7 @@ def trial_step(dt: float, d) -> np.ndarray:
 
 def model_decrease(dt: float, g, s) -> float:
     """Predicted decrease -(1 + 0.5 dt)/(1 + dt) * g.s of the local model."""
-    return -(1.0 + 0.5 * dt) / (1.0 + dt) * float(np.dot(g, s))
+    return -(1.0 + 0.5 * dt) / (1.0 + dt) * _dot(g, s)
 
 
 def trial_ratio(f_old: float, f_new: float, md: float, pg, s,
@@ -143,7 +144,7 @@ def trial_ratio(f_old: float, f_new: float, md: float, pg, s,
     trial = gradients_at_trial()
     if trial[1] is None:
         return -math.inf, trial
-    decrease = -0.5 * float(np.dot(pg + trial[1], s))
+    decrease = -0.5 * _dot(pg + trial[1], s)
     return (decrease / md if math.isfinite(decrease) else -math.inf), trial
 
 
@@ -174,8 +175,8 @@ def solve(problem, config: Optional[SolverConfig] = None,
         first evaluation. A complex gradient raises TypeError, and one
         without n entries :class:`DimensionMismatchError`.
     config : SolverConfig, optional
-        Tolerance, initial time step and iteration cap; validated defaults
-        are used when omitted.
+        Tolerance, initial time step and iteration cap; the defaults are
+        used when omitted.
     callback : callable, optional
         Invoked once per loop iteration with the IterationRecord.
 
@@ -189,7 +190,6 @@ def solve(problem, config: Optional[SolverConfig] = None,
         ends NUMERICAL_ERROR; CONVERGED is exactly ``||pg||_inf <= config.eps``.
     """
     cfg = config if config is not None else SolverConfig()
-    cfg.validate()
 
     cs = problem.cs
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(cs.b))))
@@ -201,7 +201,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
         when g is not finite. Counts each gradient and tests it once."""
         nonlocal n_g
         n_g += 1
-        gv = _vector(np.asarray(problem.gradient(xv)).ravel(), cs.n, "gradient")
+        gv = _vector(problem.gradient(xv), cs.n, "gradient")
         return gv, (project_gradient(cs, gv) if _finite(gv) else None)
 
     x = make_feasible(cs, problem.x0)
@@ -219,14 +219,14 @@ def solve(problem, config: Optional[SolverConfig] = None,
             # Once per adopted point (the start or an accepted step): a rejected
             # trial keeps x, g and pg, so the checks, the norms and d carry over.
             if not (math.isfinite(f) and pg is not None
-                    and float(np.abs(cs.A @ x - cs.b).max()) <= feas_tol):
+                    and _infeasibility(cs, x) <= feas_tol):
                 status = Status.NUMERICAL_ERROR
                 continue
             pg_inf = float(np.abs(pg).max())
             if pg_inf <= cfg.eps:
                 status = Status.CONVERGED
                 continue
-            pg_2 = math.sqrt(float(pg @ pg))
+            pg_2 = math.sqrt(_dot(pg, pg))
             d = direction(pg, pair)
         if len(history) >= cfg.max_iter:
             status = Status.MAX_ITERATIONS

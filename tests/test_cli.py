@@ -91,6 +91,12 @@ def test_solve_flags_set_config(tmp_path):
                  "--config", str(out)]) == 1
 
 
+def test_solve_bad_config_exits_one(capsys):
+    assert main(["solve", "--problem", "ex3", "--n", "12", "--tol", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: eps must be positive" in err
+
+
 def test_suite_subset(tmp_path):
     out = tmp_path / "suite.csv"
     code = main(["suite", "--scale", "desk", "--only", "ex3,ex10,ex1",

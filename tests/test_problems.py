@@ -3,9 +3,13 @@
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 import tokenize
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import eqflow
 from eqflow import (DESK_DIM, BadDimensionError, ConstraintSystem,
                     DimensionMismatchError, NonFiniteError, PAPER_DIMS,
                     PROBLEM_IDS, Problem, build, gradient_check, known_optima,
                     make_feasible, project_gradient)
-from eqflow.problems import _EVALUATORS, _TABLE, _Spec, _evaluator, _program
+from eqflow.problems import _TABLE, _Spec, _evaluator, _program
 from eqflow.projection import _to_null_space
 from oracles import (ex8_block_minimum, grouped_check_errors, power,
                      reference_evaluator)
@@ -514,12 +519,28 @@ class NoPow(np.ndarray):
         return super().__pow__(e)
 
 
+def test_an_entry_is_compiled_when_first_built():
+    # importing compiles no entry; a build compiles its own, and later
+    # builds of it share that code
+    code = ("from eqflow import problems\n"
+            "info = problems._compiled.cache_info\n"
+            "before = info().currsize\n"
+            "a, b = problems.build('ex3', 12), problems.build('ex3', 24)\n"
+            "print(before, info().misses, a.gradient is b.gradient)\n")
+    src = Path(eqflow.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "True"]
+
+
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_evaluator_takes_no_power_above_two(pid):
     # every objective, gradient and block value forms its powers by
     # multiplication; the NoPow view must give the plain array's numbers
     x = np.linspace(-1.7, 1.3, 24)
-    for call in _EVALUATORS[pid]:
+    for call in _evaluator(_TABLE[pid]):
         got, want = call(x.view(NoPow)), call(x)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -556,7 +577,7 @@ def test_compiled_evaluator_matches_the_reference_bytes(pid):
     for n in (DESK_DIM, spec.paper_n):
         x = _hard_points(n, n)
         for point in (x, np.stack([x, _hard_points(n, n + 1)[::-1], -x])):
-            got = _evaluations(_EVALUATORS[pid], point)
+            got = _evaluations(_evaluator(_TABLE[pid]), point)
             assert got == _evaluations(reference, point)
             raised |= got[1]
     # the hard points do reach the overflow path
@@ -594,7 +615,7 @@ def _ufunc_calls(call, x):
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_compiled_evaluator_makes_no_more_ufunc_calls(pid):
     x = np.linspace(-1.7, 1.3, 24)
-    _, gradient, block_values = _EVALUATORS[pid]
+    _, gradient, block_values = _evaluator(_TABLE[pid])
     _, ref_gradient, ref_block_values = reference_evaluator(_TABLE[pid])
     got = _ufunc_calls(block_values, x), _ufunc_calls(gradient, x)
     want = _ufunc_calls(ref_block_values, x), _ufunc_calls(ref_gradient, x)
@@ -618,7 +639,7 @@ def test_compiled_evaluator_holds_no_more_memory(pid):
     # the reference's; kept alive to the return, ex8's gradient would
     # peak 5.7 float64 per variable against 2.7
     x = np.random.default_rng(3).uniform(-1.0, 1.0, 48000)
-    _, gradient, block_values = _EVALUATORS[pid]
+    _, gradient, block_values = _evaluator(_TABLE[pid])
     _, ref_gradient, ref_block_values = reference_evaluator(_TABLE[pid])
     for call, reference in ((block_values, ref_block_values), (gradient, ref_gradient)):
         assert (_peak_per_variable(call, x)

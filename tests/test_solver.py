@@ -1,5 +1,6 @@
 """Solve loop: step/model/ratio arithmetic, statuses, invariants."""
 
+import collections
 import dataclasses
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import eqflow.direction
 import eqflow.solver
 from eqflow import (PAPER_DIMS, ConstraintSystem, DimensionMismatchError,
                     SolverConfig, Status, build, gradient_check, make_feasible,
@@ -157,13 +159,19 @@ def test_update_dt_bands():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(eps=-1.0).validate()
-    with pytest.raises(ValueError):
-        SolverConfig(dt0=1e-20).validate()  # below the dt floor
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0).validate()
-    SolverConfig().validate()
+    # a config is checked when it is made, and cannot be changed after
+    with pytest.raises(ValueError, match="eps must be positive"):
+        SolverConfig(eps=-1.0)
+    with pytest.raises(ValueError, match="dt0"):
+        SolverConfig(dt0=1e-20)  # below the dt floor
+    with pytest.raises(ValueError, match="max_iter must be positive"):
+        SolverConfig(max_iter=0)
+    cfg = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.eps = -1.0
+    with pytest.raises(ValueError, match="eps must be positive"):
+        dataclasses.replace(cfg, eps=-1.0)
+    assert cfg == SolverConfig(eps=1e-6, dt0=1e-2, max_iter=10000)
 
 
 # ------------------------------------------------------------------ solve
@@ -209,6 +217,58 @@ def test_solve_starts_at_optimum():
     assert result.steps == 0 and result.total_iters == 0
 
 
+def test_solve_inner_products_and_feasibility_checks(monkeypatch):
+    # Every inner product of the solve path goes through _dot and every
+    # feasibility check through _infeasibility; counted between callbacks
+    # on ex8 at n = 120. An accepted step whose next direction passes the
+    # curvature gate costs seven inner products: s.y, s.s and y.y of its
+    # pair, pg.pg, s.pg and y.pg, and the next trial's model decrease. A
+    # rejected trial costs one, its model decrease, and a noise-floor trial
+    # one more, its trapezoid. Each adopted point costs one _infeasibility.
+    calls = collections.Counter()
+
+    def counting(key, f):
+        def counted(*args):
+            calls[key] += 1
+            return f(*args)
+        return counted
+
+    for module in (eqflow.solver, eqflow.direction):
+        monkeypatch.setattr(module, "_dot", counting("dot", module._dot))
+    monkeypatch.setattr(eqflow.solver, "_infeasibility",
+                        counting("feas", eqflow.solver._infeasibility))
+    gates, noise = [], []  # each direction's gate, each trial's noise floor
+    gate, ratio = eqflow.direction.curvature_gate, eqflow.solver.trial_ratio
+    monkeypatch.setattr(eqflow.direction, "curvature_gate",
+                        lambda pair: gates.append(gate(pair)) or gates[-1])
+
+    def noting_noise(*args):
+        rho, trial = ratio(*args)
+        noise.append(trial is not None)
+        return rho, trial
+
+    monkeypatch.setattr(eqflow.solver, "trial_ratio", noting_noise)
+    seen = [(0, 0)]
+    result = solve(build("ex8", 120),
+                   callback=lambda rec: seen.append((calls["dot"], calls["feas"])))
+    assert result.status is Status.CONVERGED
+    seen.append((calls["dot"], calls["feas"]))  # the pair and check of the end
+    spent = [tuple(c) for c in np.diff(seen, axis=0).tolist()]
+
+    history, gate_of_point = result.history, iter(gates)
+    expected = []
+    for k in range(len(history)):
+        dots, new_point = 1 + noise[k], k == 0 or history[k - 1].accepted
+        if new_point:
+            dots += 3 * (k > 0) + 1 + 2 * next(gate_of_point)
+        expected.append((dots, int(new_point)))
+    expected.append((3, 1) if history[-1].accepted else (0, 0))
+    assert spent == expected
+    assert next(gate_of_point, None) is None and len(noise) == len(history)
+    kinds = collections.Counter(spent)
+    assert kinds[(7, 1)] and kinds[(1, 0)] and kinds[(8, 1)]  # each kind occurs
+
+
 def test_solve_feasibility_of_every_evaluation():
     rng = np.random.default_rng(3)
     base = distance_problem(rng)
@@ -217,7 +277,7 @@ def test_solve_feasibility_of_every_evaluation():
         base, objective=lambda x: (seen.append(x.copy()), base.objective(x))[1])
     result = solve(wrapped)
     assert result.status is Status.CONVERGED
-    A = np.asarray(base.cs.A, float)
+    A = base.cs.A.toarray()
     tol = 1e-9 * (1.0 + np.max(np.abs(base.cs.b)))
     assert seen, "objective never evaluated"
     for x in seen:
