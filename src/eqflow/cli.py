@@ -54,7 +54,7 @@ def _solve_row(problem, cfg):
 
 
 def cmd_solve(args) -> int:
-    cfg = SolverConfig(eps=args.tol, dt0=args.dt0, max_iter=args.max_iter)
+    cfg = SolverConfig(eps=args.tol, max_iter=args.max_iter)
     problem = build(args.problem, args.n)
     result, row = _solve_row(problem, cfg)
 
@@ -145,8 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="solve one benchmark problem")
     p_solve.add_argument("--tol", type=float, default=SolverConfig.eps,
                          help="termination tolerance on ||pg||_inf")
-    p_solve.add_argument("--dt0", type=float, default=SolverConfig.dt0,
-                         help="initial time step")
     p_solve.add_argument("--max-iter", type=int, dest="max_iter",
                          default=SolverConfig.max_iter)
     p_solve.add_argument("--json", help="write a JSON result file")
@@ -173,10 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; exit code 2 is reserved for
         # "ran but did not converge/pass".

@@ -28,8 +28,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .projection import (ConstraintSystem, CSRMatrix, _start_point, _to_null_space,
-                         _vector, make_feasible)
+from .projection import (ConstraintSystem, CSRMatrix, _count, _start_point,
+                         _to_null_space, _vector, make_feasible)
 
 
 class BadDimensionError(ValueError):
@@ -268,17 +268,31 @@ PAPER_DIMS = {pid: spec.paper_n for pid, spec in _TABLE.items()}
 _compiled = functools.cache(lambda problem_id: _evaluator(_TABLE[problem_id]))
 
 
+def _sized(problem_id: str, n):
+    """problem_id's table entry and n, by the size check of ``build``."""
+    spec = _TABLE.get(problem_id)
+    if spec is None:
+        raise BadDimensionError(f"unknown problem id {problem_id!r}")
+    n = _count(n, "n")
+    div = math.lcm(spec.width, len(spec.rows[0]))
+    if n < div or n % div != 0:
+        raise BadDimensionError(f"{problem_id} needs n to be a positive "
+                                f"multiple of {div}, got {n}")
+    return spec, n
+
+
 def known_optima(problem_id: str, n: int) -> Optional[Tuple[Optional[np.ndarray], float]]:
     """Closed-form optimum (ex1, ex3) at any n, else reference value at the
     benchmark size, as the problem's table entry states them.
 
     Returns ``(x_star_pattern, f_star)`` where the pattern is the repeating
     block of the minimizer (``None`` when only the objective value is
-    known), or ``None`` when nothing is known (a reference-only problem
-    away from its benchmark size, or an unknown id).
+    known), or ``None`` wherever ``build`` raises BadDimensionError and
+    for a reference-only problem away from its benchmark size.
     """
-    spec = _TABLE.get(problem_id)
-    if spec is None:
+    try:
+        spec, n = _sized(problem_id, n)
+    except BadDimensionError:
         return None
     if spec.optimum is not None:
         block, f_block = spec.optimum
@@ -297,14 +311,7 @@ def build(problem_id: str, n: int) -> Problem:
         Unknown id, or n not a positive multiple of the problem's block
         period (2 for pair problems, 3 for triples, 6 for ex2).
     """
-    spec = _TABLE.get(problem_id)
-    if spec is None:
-        raise BadDimensionError(f"unknown problem id {problem_id!r}")
-    div = math.lcm(spec.width, len(spec.rows[0]))
-    if n < div or n % div != 0:
-        raise BadDimensionError(
-            f"{problem_id} needs n to be a positive multiple of {div}, got {n}"
-        )
+    spec, n = _sized(problem_id, n)
     objective, gradient, block_values = _compiled(problem_id)
     A, b = _block_constraints(n, spec.rows, spec.rhs)
     x0 = np.resize(np.asarray(spec.start, dtype=float), n)
@@ -390,8 +397,9 @@ def gradient_check(problem: Problem, num_points: int = 10,
     ``(n,)`` row. The perturbations of a stack are drawn by one
     ``rng.normal`` call, which gives the stream that one draw per point
     gives, and projected by one call. A ``num_points`` below 1 raises
-    ValueError.
+    ValueError, one that is not an integer TypeError.
     """
+    num_points = _count(num_points, "num_points")
     if num_points < 1:
         raise ValueError(f"num_points must be positive, got {num_points}")
     cs = problem.cs

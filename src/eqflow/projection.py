@@ -16,6 +16,7 @@ A is held in this module's own compressed-row form, :class:`CSRMatrix`,
 so the package imports no scipy.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Tuple, Union
 
@@ -57,9 +58,16 @@ def _vector(v, shape, name="vector") -> np.ndarray:
             raise TypeError(f"{name} is complex; only real values are accepted")
         v = v.astype(float)
     if v.shape != shape:
-        expected = tuple(int(d) for d in shape)
-        raise DimensionMismatchError(f"{name} has shape {v.shape}, expected {expected}")
+        raise DimensionMismatchError(f"{name} has shape {v.shape}, expected {shape}")
     return v
+
+
+def _count(v, name) -> int:
+    """v as an int by ``operator.index`` (numpy integers pass), else TypeError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {v!r}") from None
 
 
 def _dot(a, b) -> float:
@@ -97,7 +105,9 @@ class CSRMatrix:
     def __init__(self, indptr, indices, data, shape):
         if np.iscomplexobj(data):
             raise TypeError("matrix entries are complex; only real values are accepted")
-        m, n = (int(d) for d in shape)
+        if len(shape) != 2:
+            raise DimensionMismatchError(f"CSR shape {tuple(shape)} is not (m, n)")
+        m, n = (_count(d, f"shape[{i}]") for i, d in enumerate(shape))
         indptr = np.array(indptr, dtype=np.intp)
         indices = np.array(indices, dtype=np.intp)
         data = np.array(data, dtype=float)

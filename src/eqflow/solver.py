@@ -23,17 +23,18 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .direction import CurvaturePair, direction
-from .projection import (_dot, _infeasibility, _vector, make_feasible, multipliers,
-                         project_gradient, residuals)
+from .projection import (_count, _dot, _infeasibility, _vector, make_feasible,
+                         multipliers, project_gradient, residuals)
 
-# Trust-region constants of the time step. A trial is accepted when its
-# ratio rho exceeds _ETA_A. dt grows by _GAMMA1 when |1 - rho| <= _ETA1,
+# Trust-region constants of the time step, which starts at _DT0. A trial is
+# accepted when rho > _ETA_A. dt grows by _GAMMA1 when |1 - rho| <= _ETA1,
 # shrinks by _GAMMA2 when |1 - rho| >= _ETA2, and stays in [_DT_MIN, _DT_MAX].
 _ETA_A = 1e-6
 _ETA1 = 0.25
 _ETA2 = 0.75
 _GAMMA1 = 2.0
 _GAMMA2 = 0.5
+_DT0 = 1e-2
 _DT_MIN = 1e-16
 _DT_MAX = 1e16
 
@@ -55,25 +56,22 @@ class Status(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """What a caller chooses for a solve; the rest of the recipe is fixed.
+    """The stopping rule of a solve; the rest of the recipe is fixed.
 
-    eps terminates on ``||pg||_inf <= eps``, dt0 seeds the time step and
-    max_iter caps the loop iterations, rejected trials included. The
-    trust-region thresholds and the dt bounds are constants of this
-    module, the curvature gate one of :mod:`eqflow.direction`. A config
-    is checked when it is made: a bad value raises ValueError.
+    eps terminates on ``||pg||_inf <= eps`` and max_iter caps the loop
+    iterations, rejected trials included. The time-step constants are this
+    module's, the curvature gate :mod:`eqflow.direction`'s. A config is
+    checked when it is made: a bad value raises ValueError, and a max_iter
+    that is not an integer TypeError (an integer is kept as an int).
     """
 
     eps: float = 1e-6
-    dt0: float = 1e-2
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not _DT_MIN <= self.dt0 <= _DT_MAX:
-            raise ValueError(
-                f"need {_DT_MIN:g} <= dt0 <= {_DT_MAX:g}, got {self.dt0}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
@@ -175,8 +173,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
         first evaluation. A complex gradient raises TypeError, and one
         without n entries :class:`DimensionMismatchError`.
     config : SolverConfig, optional
-        Tolerance, initial time step and iteration cap; the defaults are
-        used when omitted.
+        Tolerance and iteration cap; the defaults are used when omitted.
     callback : callable, optional
         Invoked once per loop iteration with the IterationRecord.
 
@@ -212,7 +209,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
     status = None
     pair: Optional[CurvaturePair] = None
     d = None
-    dt, stalled = cfg.dt0, 0
+    dt, stalled = _DT0, 0
 
     while status is None:
         if d is None:

@@ -84,11 +84,17 @@ def test_solve_non_converged_exit_two(tmp_path):
 def test_solve_flags_set_config(tmp_path):
     out = tmp_path / "r.json"
     assert main(["solve", "--problem", "ex3", "--n", "12", "--tol", "1e-3",
-                 "--dt0", "0.5", "--json", str(out)]) == 0
+                 "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["config"] == {"eps": 1e-3, "dt0": 0.5, "max_iter": 10000}
+    assert payload["config"] == {"eps": 1e-3, "max_iter": 10000}
     assert main(["solve", "--problem", "ex3", "--n", "12",
                  "--config", str(out)]) == 1
+
+
+def test_solve_has_no_dt0_flag(capsys):
+    # the initial time step is a constant of the solver, not a setting
+    assert main(["solve", "--problem", "ex1", "--n", "12", "--dt0", "1"]) == 1
+    assert "unrecognized arguments: --dt0" in capsys.readouterr().err
 
 
 def test_solve_bad_config_exits_one(capsys):

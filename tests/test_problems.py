@@ -440,6 +440,19 @@ def test_known_optima():
     assert none_pattern is None and f2 == pytest.approx(5.78e3)
 
 
+def test_known_optima_only_where_build_works():
+    # ex1 and ex3 have closed forms at every n they fit, and none elsewhere
+    assert known_optima("ex1", 7) is None
+    assert known_optima("ex3", 4) is None
+    assert known_optima("nope", 12) is None
+    for pid in PROBLEM_IDS:
+        for n in range(-1, 13):
+            try:
+                build(pid, n)
+            except BadDimensionError:
+                assert known_optima(pid, n) is None, (pid, n)
+
+
 def test_ex8_reference_is_the_block_minimum():
     # every one of the 1600 blocks at n = 4800 holds the global block minimum
     _, f8 = known_optima("ex8", 4800)

@@ -6,6 +6,7 @@ independently of the component-wise QR path under test.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,8 +20,9 @@ from scipy.sparse.csgraph import connected_components
 import eqflow
 from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, ConstraintSystem,
                     CSRMatrix, DimensionMismatchError, NonFiniteError,
-                    RankDeficientError, build, make_feasible, multipliers,
-                    project_gradient, residuals)
+                    RankDeficientError, SolverConfig, build, gradient_check,
+                    known_optima, make_feasible, multipliers, project_gradient,
+                    residuals)
 from eqflow.projection import (_RANK_GATE, Projector, _column_components,
                                _to_null_space, factor)
 from oracles import (component_factors, components, dense_feasible,
@@ -472,6 +474,9 @@ def test_csr_form_matches_scipy():
         CSRMatrix([0, 2, 1], [0, 1], [1.0, 1.0], (2, 3))  # falling indptr
     with pytest.raises(DimensionMismatchError):
         ConstraintSystem(A=np.ones(3), b=np.zeros(1))  # not 2-D
+    for shape in ((3,), (1, 2, 3)):  # a shape is (m, n)
+        with pytest.raises(DimensionMismatchError, match=r"is not \(m, n\)"):
+            CSRMatrix([0], [], [], shape)
 
 
 @pytest.mark.parametrize("args, m, n", [
@@ -482,6 +487,23 @@ def test_csr_refuses_negative_shapes(args, m, n):
     with pytest.raises(DimensionMismatchError,
                        match=rf"^CSR arrays do not describe an \({m}, {n}\) matrix$"):
         CSRMatrix(*args)
+
+
+# every count or size a caller passes, each read with the count 4
+@pytest.mark.parametrize("name, read", [
+    ("shape[1]", lambda v: CSRMatrix([0, 0], [], [], (1, v)).shape[1]),
+    ("max_iter", lambda v: SolverConfig(max_iter=v).max_iter),
+    ("num_points", lambda v: gradient_check(build("ex1", 4), v).num_points),
+    ("n", lambda v: build("ex1", v).n),
+    ("n", lambda v: known_optima("ex1", v)[1]),
+], ids=["CSRMatrix", "SolverConfig", "gradient_check", "build", "known_optima"])
+def test_counts_are_read_one_way(name, read):
+    for bad in (2.5, "2"):
+        with pytest.raises(TypeError, match=f"^{re.escape(name)} must be an integer, got"):
+            read(bad)
+    # a numpy integer passes and is kept as what the int gives
+    kept, expected = read(np.int64(4)), read(4)
+    assert kept == expected and type(kept) is type(expected)
 
 
 def test_factor_same_blocks_from_every_input_form():

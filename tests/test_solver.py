@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -160,10 +161,9 @@ def test_update_dt_bands():
 
 def test_config_validation():
     # a config is checked when it is made, and cannot be changed after
-    with pytest.raises(ValueError, match="eps must be positive"):
-        SolverConfig(eps=-1.0)
-    with pytest.raises(ValueError, match="dt0"):
-        SolverConfig(dt0=1e-20)  # below the dt floor
+    for eps in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            SolverConfig(eps=eps)
     with pytest.raises(ValueError, match="max_iter must be positive"):
         SolverConfig(max_iter=0)
     cfg = SolverConfig()
@@ -171,7 +171,14 @@ def test_config_validation():
         cfg.eps = -1.0
     with pytest.raises(ValueError, match="eps must be positive"):
         dataclasses.replace(cfg, eps=-1.0)
-    assert cfg == SolverConfig(eps=1e-6, dt0=1e-2, max_iter=10000)
+    assert cfg == SolverConfig(eps=1e-6, max_iter=10000)
+
+
+def test_config_holds_the_stopping_rule():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["eps", "max_iter"]
+    # a numpy max_iter is kept as an int, so the config is plain JSON
+    cfg = SolverConfig(max_iter=np.int64(3))
+    assert json.loads(json.dumps(dataclasses.asdict(cfg))) == {"eps": 1e-6, "max_iter": 3}
 
 
 # ------------------------------------------------------------------ solve
@@ -487,7 +494,7 @@ def test_callback_gradient_is_checked_once(run, short, bad, error, message):
         run(problem)
 
 
-def test_solve_overflowing_trial_is_rejected_not_fatal():
+def test_solve_overflowing_trial_is_rejected_not_fatal(monkeypatch):
     # the objective "overflows" outside a ball around the start; with a big
     # initial dt the first trial lands there, must be rejected via rho=-inf,
     # and the solver recovers by shrinking dt
@@ -508,7 +515,8 @@ def test_solve_overflowing_trial_is_rejected_not_fatal():
 
     problem = Problem(name="guarded", objective=guarded,
                       gradient=lambda x: 2.0 * (x - c), cs=cs, x0=x_start)
-    result = solve(problem, SolverConfig(dt0=1e2))
+    monkeypatch.setattr("eqflow.solver._DT0", 1e2)
+    result = solve(problem)
     assert result.status is Status.CONVERGED
     assert any(r.rho == -math.inf for r in result.history)
     assert_allclose(result.x_star, c, atol=1e-6)
