@@ -323,8 +323,9 @@ def build(problem_id: str, n: int) -> Problem:
 
 GRAD_TOL = 1e-5  # the largest relative error a gradient check passes
 
-# float64 entries in one stack of check points (32 KiB); from n = _STACK up
-# a stack holds one point
+# float64 entries in one stack of check points (32 KiB), and in each half
+# (up or down) of a batch of its moved copies: a batch holds at most 64 KiB.
+# From n = _STACK up a stack holds one point and a batch one block column
 _STACK = 1 << 12
 
 
@@ -383,13 +384,18 @@ def gradient_check(problem: Problem, num_points: int = 10,
     more accurate than one of the whole sum, which carries the rounding
     error of all n/w blocks.
 
-    The points are checked in stacks of ``max(1, _STACK // n)``: below
-    n = 4096 each array of a stack (the points, their gradients and steps,
-    each moved copy) holds at most 32 KiB, and from n = 4096 up a stack is
-    one point. A stack costs 2w ``block_values`` calls, each on the whole
-    ``(rows, n)`` stack, and the first stack one more to count the blocks:
-    1 + 2w calls when the points form one stack. A result that is not one
-    row of n/w values per point raises ValueError. The gradients of a
+    The points are checked in stacks of ``max(1, _STACK // n)`` rows, and
+    the block columns of a stack in batches of ``chunk = max(1, _STACK //
+    (rows * n))``. For each of its columns a batch holds two copies of the
+    stack, one with that coordinate of every block moved up and one moved
+    down, and one ``block_values`` call values them all, a ``(2 * chunk *
+    rows, n)`` array. Below n = 4096 each array of a stack (the points,
+    their gradients and steps) holds at most 32 KiB and a batch at most 64
+    KiB; from n = 4096 up a stack is one point and a batch one column, 2n
+    floats. A stack costs ceil(w / chunk) calls, and the first stack one
+    more to count the blocks: at n = 120 the ten points make one stack and
+    one batch, so a check makes 2 calls. A result that is not one row of
+    n/w values per row of the array raises ValueError. The gradients of a
     stack are one ``gradient`` call on it too; a complex result raises
     TypeError, one not of shape ``(rows, n)`` DimensionMismatchError.
     Without ``block_values`` the objective is one block of width n, and a
@@ -415,28 +421,38 @@ def gradient_check(problem: Problem, num_points: int = 10,
     for start in range(0, num_points, rows):
         stack = (min(rows, num_points - start), n)
         x = np.tile(base, (stack[0], 1))
-        moved = stack[0] - (start == 0)  # the points other than the start point
-        if moved:
-            x[-moved:] += _to_null_space(
-                cs, rng.normal(scale=0.25, size=(moved, n)), False)
+        drawn = stack[0] - (start == 0)  # the points other than the start point
+        if drawn:
+            x[-drawn:] += _to_null_space(
+                cs, rng.normal(scale=0.25, size=(drawn, n)), False)
         g = _vector(gradient(x), stack, "gradient")
         if w is None:
             w = n // _stack_values(problem.name, values, x, None).shape[1]
-        # flattened, the stack holds entry i of every block of every point
-        # at x[i::w], since w divides n
         x, g = x.reshape(-1), g.reshape(-1)
         h = 1e-6 * (1.0 + np.abs(x))
         fd = np.empty_like(x)
-        for i in range(w):
-            up, down = x.copy(), x.copy()
-            up[i::w] += h[i::w]
-            down[i::w] -= h[i::w]
-            up, down = up.reshape(stack), down.reshape(stack)
-            fd[i::w] = (_stack_values(problem.name, values, up, n // w)
-                        - _stack_values(problem.name, values, down, n // w)).reshape(-1)
+        # as (rows*n/w, w), column i holds entry i of every block of every
+        # point, since w divides n
+        xw, hw, fdw = x.reshape(-1, w), h.reshape(-1, w), fd.reshape(-1, w)
+        chunk = max(1, _STACK // x.size)
+        for lo in range(0, w, chunk):
+            # copy (i, 0) of the stack moves column lo + i up, (i, 1) down
+            m = min(chunk, w - lo)
+            moved = np.empty((m, 2) + xw.shape)
+            moved[...] = xw
+            for i in range(m):
+                moved[i, 0, :, lo + i] += hw[:, lo + i]
+                moved[i, 1, :, lo + i] -= hw[:, lo + i]
+            v = _stack_values(problem.name, values, moved.reshape(-1, n), n // w)
+            v = v.reshape(m, 2, -1)
+            np.subtract(v[:, 0], v[:, 1], out=fdw[:, lo:lo + m].T)
         fd /= 2.0 * h
-        err = np.abs(fd - g) / (1.0 + np.abs(g))
-        np.maximum(worst, err.reshape(stack).max(axis=0), out=worst)
+        # the guarded error |fd - g| / (1 + |g|), formed in fd: with fewer
+        # n-long temporaries the heap is not trimmed and regrown per stack
+        fd -= g
+        np.abs(fd, out=fd)
+        fd /= 1.0 + np.abs(g)
+        np.maximum(worst, fd.reshape(stack).max(axis=0), out=worst)
     return GradientCheckReport(name=problem.name, n=n, num_points=num_points,
                                max_rel_error=float(worst.max()),
                                coord_errors=worst)

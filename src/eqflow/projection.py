@@ -63,11 +63,14 @@ def _vector(v, shape, name="vector") -> np.ndarray:
 
 
 def _count(v, name) -> int:
-    """v as an int by ``operator.index`` (numpy integers pass), else TypeError."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {v!r}") from None
+    """v as an int by ``operator.index`` (numpy integers pass), else
+    TypeError; a bool, which ``operator.index`` reads as 0 or 1, too."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {v!r}")
 
 
 def _dot(a, b) -> float:

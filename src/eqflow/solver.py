@@ -16,6 +16,7 @@ of f: its f may exceed the previous one by at most 1e3 * eps_mach * |f|.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -61,14 +62,17 @@ class SolverConfig:
     eps terminates on ``||pg||_inf <= eps`` and max_iter caps the loop
     iterations, rejected trials included. The time-step constants are this
     module's, the curvature gate :mod:`eqflow.direction`'s. A config is
-    checked when it is made: a bad value raises ValueError, and a max_iter
-    that is not an integer TypeError (an integer is kept as an int).
+    checked when it is made: a bad value raises ValueError, and an eps
+    that is not a real number or a max_iter that is not an integer
+    TypeError, a bool in either too (an integer max_iter is kept as an int).
     """
 
     eps: float = 1e-6
     max_iter: int = 10000
 
     def __post_init__(self):
+        if isinstance(self.eps, bool) or not isinstance(self.eps, numbers.Real):
+            raise TypeError(f"eps must be a real number, got {self.eps!r}")
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter"))

@@ -22,7 +22,7 @@ from eqflow import (DESK_DIM, BadDimensionError, ConstraintSystem,
                     DimensionMismatchError, NonFiniteError, PAPER_DIMS,
                     PROBLEM_IDS, Problem, build, gradient_check, known_optima,
                     make_feasible, project_gradient)
-from eqflow.problems import _TABLE, _Spec, _evaluator, _program
+from eqflow.problems import _STACK, _TABLE, _Spec, _evaluator, _program
 from eqflow.projection import _to_null_space
 from oracles import (ex8_block_minimum, grouped_check_errors, power,
                      reference_evaluator)
@@ -231,18 +231,27 @@ def _no_objective(x):
     raise AssertionError("the grouped check called the objective")
 
 
+def _logged(fn, calls, tag):
+    """fn, appending (tag, argument) to calls for each call."""
+    def logged(x):
+        calls.append((tag, x))
+        return fn(x)
+    return logged
+
+
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_gradient_check_call_counts(pid):
     n, points = 24, 3
     p = build(pid, n)
+    width = _TABLE[pid].width
     calls = []
     gradient_check(dataclasses.replace(p, objective=_no_objective,
                                        block_values=_counted(p.block_values, calls)),
                    num_points=points)
-    # the three points make one stack: 2 calls per block column, plus one
-    # to count the blocks, each on the whole stack
-    assert len(calls) == 1 + 2 * _TABLE[pid].width
-    assert all(stack.shape == (points, n) for stack in calls)
+    # the three points make one stack and all its moved copies one batch
+    # (chunk = 4096 // 72 = 56 block columns): one call to count the blocks
+    # on the stack, then one on the 2 * width * 3 rows of the batch
+    assert [x.shape for x in calls] == [(points, n), (2 * width * points, n)]
     calls.clear()
     gradients = []
     gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, gradients)),
@@ -256,29 +265,65 @@ def test_gradient_check_call_counts(pid):
     assert len(calls) == 2 * n * points
     assert all(x.shape == (n,) for x in calls)
     assert [x.shape for x in gradients] == [(n,)] * points
+    calls.clear()
     gradients.clear()
     p = build(pid, 1200)
-    gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, gradients)))
-    # ten points in stacks of 3, 3, 3 and 1
+    gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, gradients),
+                                       block_values=_counted(p.block_values, calls)))
+    # ten points in stacks of 3, 3, 3 and 1; a stack of 3 holds 3600 floats,
+    # so its batches are one column each (chunk 1), and the last stack's
+    # 1200 make one batch of all its columns (chunk 3)
     assert [x.shape for x in gradients] == [(3, 1200)] * 3 + [(1, 1200)]
+    assert [x.shape for x in calls] == ([(3, 1200)] + [(6, 1200)] * (3 * width)
+                                       + [(2 * width, 1200)])
 
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_gradient_check_evaluations_may_keep_their_points(pid):
-    # each evaluation gets its own stack: one kept by the callee still
-    # differs from the checked points in one coordinate of every block
-    p = build(pid, 24)
+    # each batch is its own array: one kept by the callee still holds, for
+    # every point of its stack, copies that each differ from the point in
+    # one coordinate of every block, and each coordinate is moved up once
+    # and down once
     width = _TABLE[pid].width
-    checked, kept = [], []
-    gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, checked),
-                                       block_values=_counted(p.block_values, kept)),
-                   num_points=3)
-    assert [x.shape for x in checked] == [(3, 24)]
-    assert len(kept) == 1 + 2 * width
-    assert np.array_equal(kept[0], checked[0])  # the call that counts the blocks
-    for stack in kept[1:]:
-        moved = (stack != checked[0]).reshape(3, -1, width).sum(axis=2)
-        assert np.all(moved == 1)
+    for n, points in ((24, 3), (1200, 4)):  # one batch; w batches, then one
+        p = build(pid, n)
+        calls = []
+        gradient_check(dataclasses.replace(p, gradient=_logged(p.gradient, calls, "g"),
+                                           block_values=_logged(p.block_values, calls, "v")),
+                       num_points=points)
+        # each stack's gradient call, then its batches; the first stack's
+        # batches after the call that counts the blocks on it
+        assert calls[1][1] is calls[0][1]
+        starts = [k for k, (tag, _) in enumerate(calls) if tag == "g"]
+        assert [calls[k][1].shape[0] for k in starts] == [3] + [1] * (points > 3)
+        batches = []
+        for k, end in zip(starts, starts[1:] + [len(calls)]):
+            stack, moves = calls[k][1], []
+            for _, batch in calls[k + 1 + (k == 0):end]:
+                diff = batch.reshape((-1,) + stack.shape) - stack
+                diff = diff.reshape(diff.shape[:2] + (-1, width))
+                moved = diff != 0
+                assert np.all(moved.sum(axis=3) == 1)
+                # one column and one sign in every block of every point
+                column, sign = moved.argmax(axis=3), np.sign(diff.sum(axis=3))
+                assert np.all(column == column[:, :1, :1])
+                assert np.all(sign == sign[:, :1, :1])
+                moves += zip(column[:, 0, 0].tolist(), sign[:, 0, 0].tolist())
+                batches.append(batch)
+            assert sorted(moves) == [(i, s) for i in range(width) for s in (-1.0, 1.0)]
+        assert not any(np.shares_memory(a, b)
+                       for j, a in enumerate(batches) for b in batches[j + 1:])
+
+
+@pytest.mark.parametrize("n", [24, 1200, 4800])
+def test_gradient_check_batches_stay_small(n):
+    # a batch holds at most 2 * _STACK floats (64 KiB); from n = _STACK up
+    # it is one block column, up and down: 2n floats
+    for pid in ("ex1", "ex3", "ex8"):  # block widths 2, 1 and 3
+        p = build(pid, n)
+        calls = []
+        gradient_check(dataclasses.replace(p, block_values=_counted(p.block_values, calls)))
+        assert max(x.size for x in calls) <= 2 * max(_STACK, n)
 
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
@@ -322,22 +367,23 @@ def _shrinking_after_first_call(block_values):
     return values
 
 
-@pytest.mark.parametrize("make, expected", [
-    (lambda bv: lambda x: bv(x[0]), r"\(12,\), expected \(3, n/w\)"),
-    (lambda bv: lambda x: bv(x).ravel(), r"\(36,\), expected \(3, n/w\)"),
-    (lambda bv: lambda x: bv(x)[:, :5],
+@pytest.mark.parametrize("make, rows, expected", [
+    (lambda bv: lambda x: bv(x[0]), 3, r"\(12,\), expected \(3, n/w\)"),
+    (lambda bv: lambda x: bv(x).ravel(), 3, r"\(36,\), expected \(3, n/w\)"),
+    (lambda bv: lambda x: bv(x)[:, :5], 3,
      r"\(3, 5\), expected \(3, n/w\) for a block width w that divides n = 24"),
-    (lambda bv: lambda x: bv(x)[:, :0], r"\(3, 0\), expected \(3, n/w\)"),
-    (_shrinking_after_first_call, r"\(3, 6\), expected \(3, 12\)"),
+    (lambda bv: lambda x: bv(x)[:, :0], 3, r"\(3, 0\), expected \(3, n/w\)"),
+    # the second call values the batch: 2 columns, up and down, of 3 points
+    (_shrinking_after_first_call, 12, r"\(12, 6\), expected \(12, 12\)"),
 ], ids=["one-point", "flattened", "count-not-dividing-n", "no-blocks",
         "count-changes"])
-def test_gradient_check_names_a_block_values_blind_to_stacks(make, expected):
-    # a block_values that does not give one row of n/w values per point of
-    # the stack is named, not left to fail as a broadcast
+def test_gradient_check_names_a_block_values_blind_to_stacks(make, rows, expected):
+    # a block_values that does not give one row of n/w values per row of
+    # the array it gets is named, not left to fail as a broadcast
     p = build("ex1", 24)
     bad = dataclasses.replace(p, block_values=make(p.block_values))
-    with pytest.raises(ValueError, match=r"^ex1: block_values of a \(3, 24\) stack "
-                                         r"of points has shape " + expected):
+    with pytest.raises(ValueError, match=rf"^ex1: block_values of a \({rows}, 24\) "
+                                         r"stack of points has shape " + expected):
         gradient_check(bad, num_points=3)
 
 

@@ -498,7 +498,8 @@ def test_csr_refuses_negative_shapes(args, m, n):
     ("n", lambda v: known_optima("ex1", v)[1]),
 ], ids=["CSRMatrix", "SolverConfig", "gradient_check", "build", "known_optima"])
 def test_counts_are_read_one_way(name, read):
-    for bad in (2.5, "2"):
+    # a flag is not a count, though operator.index reads True as 1
+    for bad in (2.5, "2", True, False):
         with pytest.raises(TypeError, match=f"^{re.escape(name)} must be an integer, got"):
             read(bad)
     # a numpy integer passes and is kept as what the int gives

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,10 @@ def test_config_validation():
     # a config is checked when it is made, and cannot be changed after
     for eps in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
+            SolverConfig(eps=eps)
+    # a string is not compared with 0, and a flag is not a tolerance
+    for eps in ("1e-6", None, True, False, 1e-6j):
+        with pytest.raises(TypeError, match=f"^eps must be a real number, got {re.escape(repr(eps))}$"):
             SolverConfig(eps=eps)
     with pytest.raises(ValueError, match="max_iter must be positive"):
         SolverConfig(max_iter=0)
