@@ -14,8 +14,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .problems import (DESK_DIM, GRAD_TOL, PAPER_DIMS, PROBLEM_IDS,
-                       BadDimensionError, build, gradient_check, known_optima)
+from .problems import (DESK_DIM, GRAD_TOL, PAPER_DIMS, PROBLEM_IDS, build,
+                       gradient_check, known_optima)
 from .solver import IterationRecord, SolverConfig, Status, solve
 
 SUITE_COLUMNS = ("problem", "n", "m", "accepted_steps", "total_iters", "n_f",
@@ -86,19 +86,10 @@ def cmd_solve(args) -> int:
 
 def cmd_suite(args) -> int:
     cfg = SolverConfig()
-    ids = list(PROBLEM_IDS)
-    if args.only is not None:
-        requested = [p.strip() for p in args.only.split(",") if p.strip()]
-        if not requested:
-            raise BadDimensionError(f"--only names no problem: {args.only!r}")
-        unknown = [p for p in requested if p not in PROBLEM_IDS]
-        if unknown:
-            raise BadDimensionError(f"unknown problem ids: {unknown}")
-        ids = [p for p in PROBLEM_IDS if p in requested]
-
+    ids = [p for p in PROBLEM_IDS if p in args.only]
     if args.n is not None:
         dims = {p: args.n for p in ids}
-    elif (args.scale or "desk") == "paper":
+    elif args.scale == "paper":
         dims = {p: PAPER_DIMS[p] for p in ids}
     else:
         dims = {p: DESK_DIM for p in ids}
@@ -111,12 +102,8 @@ def cmd_suite(args) -> int:
               f"({row['wall_ms']:.1f} ms)", file=sys.stderr)
         rows.append(row)
 
-    text = _csv(SUITE_COLUMNS, ([row[c] for c in SUITE_COLUMNS] for row in rows))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(_csv(SUITE_COLUMNS, ([row[c] for c in SUITE_COLUMNS]
+                                          for row in rows)))
     all_ok = all(row["status"] == Status.CONVERGED.value for row in rows)
     return 0 if all_ok else 2
 
@@ -159,8 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="benchmark sizes (paper) or n=120 everywhere "
                            "(desk, the default)")
     size.add_argument("--n", type=int, help="use this n for every problem")
-    p_suite.add_argument("--only", help="comma-separated subset of problem ids")
-    p_suite.add_argument("--out", help="write the report CSV here (default stdout)")
+    p_suite.add_argument("--only", nargs="+", choices=PROBLEM_IDS,
+                         default=PROBLEM_IDS, metavar="ID",
+                         help="run only these of ex1 .. ex10 (rows keep that order)")
     p_suite.set_defaults(func=cmd_suite)
 
     p_grad = sub.add_parser("check-grad", parents=[one_problem],

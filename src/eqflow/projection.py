@@ -262,8 +262,8 @@ class Projector:
     groups: Tuple[BlockGroup, ...]
 
 
-def _column_components(n, starts, cols, rows) -> np.ndarray:
-    """Label each column by the smallest column index of its component.
+def _column_components(a: CSRMatrix) -> np.ndarray:
+    """Label each column of a by the smallest column index of its component.
 
     Hook and shortcut over a forest of columns: every row takes the
     smallest root among its columns, the root of each of its columns is
@@ -274,11 +274,11 @@ def _column_components(n, starts, cols, rows) -> np.ndarray:
     rounds small: 2 on the benchmark matrices, 12 on a randomly permuted
     chain of 1e5 variables.
     """
-    label = np.arange(n)
+    label = np.arange(a.shape[1])
     while True:
-        root = label[cols]
+        root = label[a.indices]
         new = label.copy()
-        np.minimum.at(new, root, np.minimum.reduceat(root, starts)[rows])
+        np.minimum.at(new, root, np.minimum.reduceat(root, a.indptr[:-1])[a.rows])
         while True:
             jumped = new[new]
             if np.array_equal(jumped, new):
@@ -319,7 +319,7 @@ def factor(cs: ConstraintSystem) -> Projector:
             f"constraint matrix is rank deficient: row(s) {empty[:10].tolist()} "
             "have no nonzero entry"
         )
-    label = _column_components(n, a.indptr[:-1], a.indices, a.rows)
+    label = _column_components(a)
     # A component is named by its label, its smallest column.
     row_label = label[a.indices[a.indptr[:-1]]]
     col_idx = np.flatnonzero(np.bincount(a.indices, minlength=n))
@@ -387,7 +387,7 @@ def factor(cs: ConstraintSystem) -> Projector:
     return Projector(groups=tuple(groups))
 
 
-def _coefficients(q, at, v, lead) -> np.ndarray:
+def _coefficients(q, at, v) -> np.ndarray:
     """Row-space coordinates q^T v of each block of a group, shape
     ``lead + (k, r)``, from the group's entries ``v[..., at]`` of a vector
     or a stack of them, v of shape ``lead + (n,)``.
@@ -408,7 +408,8 @@ def _coefficients(q, at, v, lead) -> np.ndarray:
     # view has them; v[..., at] with an index array lays them out column
     # by column, and einsum then sums over c in another order
     entries = v[..., at] if isinstance(at, slice) else v.take(at, axis=-1)
-    return np.einsum("kcr,...kc->...kr", q, entries.reshape(lead + q.shape[:2]))
+    return np.einsum("kcr,...kc->...kr", q,
+                     entries.reshape(v.shape[:-1] + q.shape[:2]))
 
 
 def _to_null_space(cs: ConstraintSystem, v, shifted: bool) -> np.ndarray:
@@ -421,7 +422,7 @@ def _to_null_space(cs: ConstraintSystem, v, shifted: bool) -> np.ndarray:
     for grp in cs.projector.groups:
         q, at = grp.q, grp.at
         k, c, _ = q.shape
-        coef = _coefficients(q, at, v, lead)
+        coef = _coefficients(q, at, v)
         if shifted:
             coef = coef - grp.b_r
         out[..., at] -= np.einsum("kcr,...kr->...kc", q, coef).reshape(lead + (k * c,))
@@ -457,7 +458,7 @@ def multipliers(cs: ConstraintSystem, g) -> np.ndarray:
     g = _vector(g, cs.n, "gradient")
     lam = np.empty(cs.m)
     for grp in cs.projector.groups:
-        coef = _coefficients(grp.q, grp.at, g, ())
+        coef = _coefficients(grp.q, grp.at, g)
         lam[grp.rows] = -np.linalg.solve(grp.r, coef[..., None])[..., 0]
     return lam
 

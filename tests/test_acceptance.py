@@ -6,7 +6,9 @@ benchmark solves are shared through a module fixture so the whole gate stays wit
 a few minutes.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
 import time
 
@@ -171,14 +173,20 @@ def test_criterion_5_ex8_kkt_convergence(bench_results):
     f* must be 1600 times the block minimum of a dense 2-D search, to a
     relative 1e-9: every block in the global basin.
     """
-    _, result, _ = bench_results["ex8"]
-    expected = (PAPER_DIMS["ex8"] // 3) * ex8_block_minimum()
+    problem, result, _ = bench_results["ex8"]
+    block_min = ex8_block_minimum()
+    expected = (PAPER_DIMS["ex8"] // 3) * block_min
     ok = (result.status is Status.CONVERGED
           and result.kkt_inf <= 1e-6 and result.feas_inf <= 1e-6
           and abs(result.f_star - expected) <= 1e-9 * abs(expected))
+    # a block in the local basin lies well above the block minimum; the
+    # 1e-3 margin is tools/ex8_basin.py's LOCAL_GAP
+    excess = problem.block_values(result.x_star) - block_min
     _report(5, "ex8 KKT certification at benchmark scale", ok,
             f"status={result.status.value} kkt={result.kkt_inf:.2e} "
-            f"f*={result.f_star:.14g} (oracle {expected:.14g})")
+            f"f*={result.f_star:.14g} (oracle {expected:.14g}); "
+            f"{int((excess > 1e-3).sum())} block(s) above the block minimum "
+            f"by more than 1e-3, worst by {excess.max():.4g}")
     assert ok
 
 
@@ -265,13 +273,14 @@ def test_criterion_9_infeasible_start_projection():
     assert ok
 
 
-def test_criterion_10_suite_determinism(tmp_path):
-    first = tmp_path / "suite_a.csv"
-    second = tmp_path / "suite_b.csv"
-    code_a = main(["suite", "--scale", "desk", "--out", str(first)])
-    code_b = main(["suite", "--scale", "desk", "--out", str(second)])
-    identical = first.read_bytes() == second.read_bytes()
-    rows = first.read_text().splitlines()
+def test_criterion_10_suite_determinism():
+    first, second = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(first):
+        code_a = main(["suite", "--scale", "desk"])
+    with contextlib.redirect_stdout(second):
+        code_b = main(["suite", "--scale", "desk"])
+    identical = first.getvalue() == second.getvalue()
+    rows = first.getvalue().splitlines()
     ok = identical and code_a == code_b and len(rows) == 11
     _report(10, "desk-scale suite CSVs are byte-identical", ok,
             f"exit codes {code_a}/{code_b}, {len(rows) - 1} rows")

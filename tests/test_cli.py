@@ -103,12 +103,10 @@ def test_solve_bad_config_exits_one(capsys):
     assert out == "" and "error: eps must be positive" in err
 
 
-def test_suite_subset(tmp_path):
-    out = tmp_path / "suite.csv"
-    code = main(["suite", "--scale", "desk", "--only", "ex3,ex10,ex1",
-                 "--out", str(out)])
+def test_suite_subset(capsys):
+    code = main(["suite", "--scale", "desk", "--only", "ex3", "ex10", "ex1"])
     assert code == 0
-    lines = out.read_text().splitlines()
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ",".join(SUITE_COLUMNS)
     assert len(lines) == 4
     # rows come back in canonical problem order regardless of --only order
@@ -119,6 +117,14 @@ def test_suite_subset(tmp_path):
     assert SCI9.match(row["f_star"])
 
 
+def test_suite_paper_scale(capsys):
+    assert main(["suite", "--scale", "paper", "--only", "ex1", "ex3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(SUITE_COLUMNS, ln.split(","))) for ln in lines[1:]]
+    assert [(r["problem"], r["n"], r["status"]) for r in rows] == [
+        ("ex1", "5000", "converged"), ("ex3", "4800", "converged")]
+
+
 def test_suite_stdout_when_no_out(capsys):
     code = main(["suite", "--n", "12", "--only", "ex1"])
     assert code == 0
@@ -126,11 +132,21 @@ def test_suite_stdout_when_no_out(capsys):
     assert out.startswith(",".join(SUITE_COLUMNS))
 
 
-def test_suite_deterministic_bytes(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["suite", "--n", "24", "--only", "ex1,ex6,ex8", "--out", str(a)]) == 0
-    assert main(["suite", "--n", "24", "--only", "ex1,ex6,ex8", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_suite_has_no_out_flag(capsys, tmp_path):
+    # the report goes to stdout only; a shell redirect writes a file
+    out = tmp_path / "r.csv"
+    assert main(["suite", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --out" in captured.err
+    assert not out.exists()
+
+
+def test_suite_deterministic_bytes(capsys):
+    reports = []
+    for _ in range(2):
+        assert main(["suite", "--n", "24", "--only", "ex1", "ex6", "ex8"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and reports[0].count("\n") == 4
 
 
 def test_suite_frees_each_system_once_solved(monkeypatch):
@@ -145,25 +161,23 @@ def test_suite_frees_each_system_once_solved(monkeypatch):
         return real_solve_row(problem, cfg)
 
     monkeypatch.setattr(eqflow.cli, "_solve_row", solve_row)
-    assert main(["suite", "--n", "24", "--only", "ex1,ex3,ex8"]) == 0
+    assert main(["suite", "--n", "24", "--only", "ex1", "ex3", "ex8"]) == 0
     assert len(solved) == 3
 
 
-def test_suite_bad_n_exit_one(capsys, tmp_path):
+def test_suite_bad_n_exit_one(capsys):
     assert main(["suite", "--n", "10", "--only", "ex3"]) == 1
     # ex1 fits n = 10 and is solved first; ex2 does not, so no report is written
-    out = tmp_path / "suite.csv"
     assert main(["suite", "--n", "10"]) == 1
-    assert main(["suite", "--n", "10", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "ex2 needs n" in captured.err
-    assert not out.exists()
 
 
 def test_suite_unknown_only_exit_one(capsys):
-    assert main(["suite", "--only", "ex1,exZ"]) == 1
-    assert main(["suite", "--only", ","]) == 1  # names no problem at all
-    assert capsys.readouterr().out == ""
+    assert main(["suite", "--only", "ex1", "exZ"]) == 1
+    assert main(["suite", "--only"]) == 1  # names no problem at all
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'exZ'" in captured.err
 
 
 def test_suite_scale_and_n_conflict():

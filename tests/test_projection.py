@@ -278,9 +278,7 @@ def test_component_labels_match_csgraph():
         cases.append(sp.csr_array(A))
     for A in cases:
         m, n = A.shape
-        cols = A.indices.astype(np.intp)
-        rows = np.repeat(np.arange(m), np.diff(A.indptr))
-        label = _column_components(n, A.indptr[:-1], cols, rows)
+        label = _column_components(CSRMatrix.from_matrix(A))
         _, ref = connected_components(sp.bmat([[None, A], [A.T, None]]),
                                       directed=False)
         ref = ref[m:]
