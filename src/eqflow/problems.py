@@ -147,9 +147,17 @@ def _program(spec):
     3.1). Products run left to right, coefficient first, and so do sums.
     Each distinct operation is one line, whose value every later use in
     that function shares, and each value is deleted after its last use,
-    so no more arrays are alive at once than the operations need. The
-    source holds names and integers only: each float (coefficient, shift
-    or derived constant) is a name in the scope.
+    so no more arrays are alive at once than the operations need. A line
+    whose operand is a temporary that dies on it writes into that
+    operand's array: ``a op= b``, or ``b op= a`` for ``+`` and ``*``. The
+    operand must own its array (no view of the point) and be no float
+    name, and it must not be widened: it takes a float operand only if a
+    float entered it too, so an integer point is computed as before.
+    Each entry is the same IEEE operation on the same values, and fewer
+    arrays are allocated; only the payload of a NaN made from two NaNs
+    may differ where the operands swap. The source holds names and
+    integers only: each float (coefficient, shift or derived constant)
+    is a name in the scope.
     """
     w, shift = spec.width, dict(enumerate(spec.shift))
     terms, derived = _monomials(spec)
@@ -165,14 +173,26 @@ def _program(spec):
 
     def function(header, sums, store):
         """The function's lines: its header, the sums, each ``store``d."""
-        names, steps = {}, []  # steps: (statement, the values it reads)
+        # steps: (value, a, op, b) for ``value = a op b``, or ``value = a``
+        # for a view of the point when op is None; (None, total, None, k)
+        # stores column k
+        names, steps = {}, []
+        owned = set()     # the values that own their array: no view of x
+        floating = set()  # the values a bound float enters
+
+        def is_float(v):
+            return v in floating or v in floats.values()
 
         def line(a, op=None, b=None):
             """The name of ``a op b``, or of ``a``, given a line if new."""
             expr = a if op is None else f"{a} {op} {b}"
             if expr not in names:
-                names[expr] = f"t{len(names)}"
-                steps.append((f"{names[expr]} = {expr}", (a, b)))
+                value = names[expr] = f"t{len(names)}"
+                steps.append((value, a, op, b))
+                if op is not None:
+                    owned.add(value)
+                    if is_float(a) or is_float(b):
+                        floating.add(value)
             return names[expr]
 
         def power(k, e):
@@ -194,12 +214,33 @@ def _program(spec):
                     value = p if value is None else line(value, "*", p)
                 total = value if total is None else line(total, "+", value)
             total = bind(0.0) if total is None else total
-            steps.append((store(k, total), (total,)))
-        last = {value: i for i, (_, reads) in enumerate(steps) for value in reads}
+            steps.append((None, total, None, k))
+        last = {v: i for i, (value, a, op, b) in enumerate(steps)
+                for v in ((a,) if op is None else (a, b))}
+        buffer = {}  # value -> the name of the array that holds it
         lines = [header, "    flat = x.reshape(-1)"]
-        for i, (statement, _) in enumerate(steps):
+        for i, (value, a, op, b) in enumerate(steps):
+            held, target = (buffer.get(a, a), buffer.get(b, b)), value
+            if value is None:
+                statement = store(b, held[0])
+            elif op is None:
+                statement = f"{value} = {a}"
+            else:
+                # the first operand that dies here and may hold the result
+                operands = ((a, b), (b, a))[:1 + (op in "+*")]
+                into = next((j for j, (mine, other) in enumerate(operands)
+                             if mine in owned and last[mine] == i
+                             and (mine in floating or not is_float(other))), None)
+                if into is None:
+                    statement = f"{value} = {held[0]} {op} {held[1]}"
+                else:
+                    target = held[into]
+                    statement = f"{target} {op}= {held[1 - into]}"
+            if value is not None:
+                buffer[value] = target
             lines.append(f"    {statement}")
-            dead = [v for v in names.values() if last.get(v) == i]
+            dead = [buffer[v] for v in names.values()
+                    if last.get(v) == i and buffer[v] != target]
             if dead and i + 1 < len(steps):
                 lines.append(f"    del {', '.join(dead)}")
         return lines

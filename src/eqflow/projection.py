@@ -103,6 +103,18 @@ class CSRMatrix:
     are kept. Complex entries raise TypeError. The constructor copies its
     arrays into read-only ones, so no later change reaches the matrix.
     ``A @ x`` and ``A.T @ y`` take 1-D vectors; ``toarray()`` densifies.
+
+    ``A @ x`` sums each row's products left to right, in stored order,
+    from slabs kept on the matrix: the rows of one length L as an
+    (L, rows) array of column indices and one of values, so that a
+    length makes one gather, one multiply and L - 1 adds. When every row
+    has one length, as in every benchmark problem, the slabs are
+    transposed views of ``indices`` and ``data``; otherwise each length
+    keeps copies, and an empty row sums to 0.0. A sum that starts from
+    its first product, not from 0.0, keeps the sign of a zero: a row
+    whose products are all -0.0 sums to -0.0, where ``np.bincount``
+    gives 0.0. Every other row sum has the bincount's bits, but for the
+    sign and payload of a NaN, which numpy does not promise.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -132,6 +144,22 @@ class CSRMatrix:
         self.indptr, self.indices, self.data = indptr, indices, data
         self.rows = rows    # the row of each stored entry
         self.shape = (m, n)
+        # (at, columns, values) per row length, at the rows of that length
+        # or None for every row. The lengths come from bincount: np.unique
+        # imports numpy.ma on its first call, 20 ms and 1 MB.
+        lengths = np.diff(indptr)
+        slabs = []
+        for length in (np.flatnonzero(np.bincount(lengths)[1:]) + 1).tolist():
+            at = np.flatnonzero(lengths == length)
+            if at.size == m:
+                slab = None, indices.reshape(m, length).T, data.reshape(m, length).T
+            else:
+                entries = indptr[at] + np.arange(length)[:, None]
+                slab = at, indices[entries], data[entries]
+                for a in slab:
+                    a.flags.writeable = False
+            slabs.append(slab)
+        self._slabs = tuple(slabs)
 
     @classmethod
     def from_matrix(cls, A) -> "CSRMatrix":
@@ -151,8 +179,19 @@ class CSRMatrix:
 
     def __matmul__(self, x) -> np.ndarray:
         x = _vector(x, self.shape[1:])
-        return np.bincount(self.rows, weights=self.data * x[self.indices],
-                           minlength=self.shape[0])
+        out = None
+        for at, columns, values in self._slabs:
+            terms = x[columns]
+            terms *= values
+            total = terms[0]
+            for l in range(1, len(terms)):
+                total += terms[l]
+            if at is None:  # every row has this length
+                return total
+            if out is None:
+                out = np.zeros(self.shape[0])
+            out[at] = total
+        return np.zeros(self.shape[0]) if out is None else out
 
     @property
     def T(self) -> "_Transposed":
@@ -412,11 +451,33 @@ def _coefficients(q, at, v) -> np.ndarray:
                      entries.reshape(v.shape[:-1] + q.shape[:2]))
 
 
+def _expand(q, coef) -> np.ndarray:
+    """Q coef of each block of a group, shape ``lead + (k, c)``, from its
+    coordinates coef, ``lead + (k, r)``.
+
+    For r <= 2 an entry is one product, or the sum of two, and a sum of
+    two terms has one value in any order; so broadcast products give
+    einsum's value, in fewer passes. They differ from it only in the sign
+    of a zero: einsum adds the products to 0.0, which turns a -0.0 sum
+    into 0.0. A group with r >= 3 keeps the einsum.
+    """
+    r = q.shape[2]
+    if r > 2:
+        return np.einsum("kcr,...kr->...kc", q, coef)
+    expanded = q[..., 0] * coef[..., None, 0]
+    if r == 2:
+        expanded += q[..., 1] * coef[..., None, 1]
+    return expanded
+
+
 def _to_null_space(cs: ConstraintSystem, v, shifted: bool) -> np.ndarray:
     """v - Q (Q^T v - t) over every group of cs, with t each group's b_r
     when shifted and 0 otherwise, for v of shape (..., n): each row of a
     stack gets the bits it gets alone. Q t maps block coordinates back to
-    variables with the same per-entry order with or without a stack."""
+    variables with the same per-entry order with or without a stack. An
+    entry whose v is -0.0 and whose Q (Q^T v - t) is the -0.0 of
+    ``_expand`` comes out 0.0; with einsum's 0.0 it stayed -0.0. Every
+    other entry has the einsum expand's bits."""
     out = v.copy()
     lead = v.shape[:-1]
     for grp in cs.projector.groups:
@@ -425,7 +486,7 @@ def _to_null_space(cs: ConstraintSystem, v, shifted: bool) -> np.ndarray:
         coef = _coefficients(q, at, v)
         if shifted:
             coef = coef - grp.b_r
-        out[..., at] -= np.einsum("kcr,...kr->...kc", q, coef).reshape(lead + (k * c,))
+        out[..., at] -= _expand(q, coef).reshape(lead + (k * c,))
     return out
 
 

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from eqflow import make_feasible, project_gradient
 from eqflow.direction import CurvaturePair, curvature_gate
 from eqflow.problems import _monomials
+from eqflow.projection import _coefficients
 
 
 def dense_projection(A) -> np.ndarray:
@@ -68,6 +69,31 @@ def component_factors(A, b, rows, cols):
     return q, r, np.linalg.solve(r.T, b[rows])
 
 
+def bincount_matvec(A, x) -> np.ndarray:
+    """A @ x for the CSRMatrix A by one ``np.bincount`` over its stored
+    entries: each row's products added in stored order to 0.0. Float
+    zeros without a stored entry, where bincount's are int64."""
+    return np.bincount(A.rows, weights=A.data * x[A.indices],
+                       minlength=A.shape[0]).astype(float, copy=False)
+
+
+def einsum_expand(q, coef) -> np.ndarray:
+    """Q coef of each block of a group, ``lead + (k, c)``, by the einsum
+    that sums over r, adding the products to 0.0."""
+    return np.einsum("kcr,...kr->...kc", q, coef)
+
+
+def einsum_to_null_space(cs, v, shifted: bool) -> np.ndarray:
+    """``_to_null_space`` with every group's expand by ``einsum_expand``."""
+    out = v.copy()
+    for grp in cs.projector.groups:
+        coef = _coefficients(grp.q, grp.at, v)
+        if shifted:
+            coef = coef - grp.b_r
+        out[..., grp.at] -= einsum_expand(grp.q, coef).reshape(v.shape[:-1] + (-1,))
+    return out
+
+
 def gathered_to_null_space(cs, v, shifted: bool) -> np.ndarray:
     """v - Q (Q^T v - t) over the groups of cs, with each group's entries
     gathered as ``v[cols]`` and written back by ``out[cols] -=``, the index
@@ -77,7 +103,7 @@ def gathered_to_null_space(cs, v, shifted: bool) -> np.ndarray:
     for grp in cs.projector.groups:
         cols = group_columns(grp)
         coef = np.einsum("kcr,kc->kr", grp.q, v[cols])
-        out[cols] -= np.einsum("kcr,kr->kc", grp.q, coef - grp.b_r if shifted else coef)
+        out[cols] -= einsum_expand(grp.q, coef - grp.b_r if shifted else coef)
     return out
 
 

@@ -651,9 +651,22 @@ def test_compiled_evaluator_keeps_signed_zeros_apart():
             == _evaluations(reference_evaluator(spec), x))
 
 
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_compiled_evaluator_writes_no_float_into_an_integer_column(pid):
+    # an in-place line would cast a float into an integer point's power:
+    # the values, and their dtypes, stay the reference's
+    x = np.arange(-12, 12)
+    for point in (x, x.reshape(2, 12), x.astype(np.float32)):
+        got = [np.asarray(call(point)) for call in _evaluator(_TABLE[pid])[1:]]
+        want = [np.asarray(call(point)) for call in reference_evaluator(_TABLE[pid])[1:]]
+        assert [(g.dtype, g.tobytes()) for g in got] == [(w.dtype, w.tobytes()) for w in want]
+    assert x.tobytes() == np.arange(-12, 12).tobytes()
+
+
 class Counting(np.ndarray):
     """An array that counts the ufunc calls made on it and on every array
-    computed from it."""
+    computed from it. An in-place line (``a += b``) passes its array as
+    ``out=``, which is unwrapped too, or the call would come back here."""
 
     calls = 0
 
@@ -661,6 +674,9 @@ class Counting(np.ndarray):
         Counting.calls += 1
         inputs = [v.view(np.ndarray) if isinstance(v, Counting) else v
                   for v in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(v.view(np.ndarray) if isinstance(v, Counting)
+                                  else v for v in kwargs["out"])
         result = getattr(ufunc, method)(*inputs, **kwargs)
         return result.view(Counting) if isinstance(result, np.ndarray) else result
 

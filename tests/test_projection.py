@@ -8,6 +8,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, ConstraintSystem,
                     RankDeficientError, SolverConfig, build, gradient_check,
                     known_optima, make_feasible, multipliers, project_gradient,
                     residuals)
-from eqflow.projection import (_RANK_GATE, Projector, _column_components,
+from eqflow.projection import (_RANK_GATE, Projector, _coefficients,
+                               _column_components, _expand, _infeasibility,
                                _to_null_space, factor)
-from oracles import (component_factors, components, dense_feasible,
-                     dense_projection, gathered_multipliers,
+from oracles import (bincount_matvec, component_factors, components,
+                     dense_feasible, dense_projection, einsum_expand,
+                     einsum_to_null_space, gathered_multipliers,
                      gathered_to_null_space, group_columns)
 
 
@@ -524,6 +527,69 @@ def test_factor_same_blocks_from_every_input_form():
                 assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
 
 
+@st.composite
+def csr_cases(draw):
+    """A CSRMatrix whose rows have mixed lengths, empty ones among them (m
+    may be 0), built from duplicate entries and stored zeros; a point
+    with infinite and NaN entries among ordinary ones; and a b. The
+    ordinary values are seeded normal draws, whose sums round."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    lengths = draw(st.lists(st.integers(0, 8), min_size=m, max_size=m))
+    nnz = sum(lengths)
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=nnz, max_size=nnz))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(size, special):
+        v = rng.standard_normal(size)
+        picks = rng.random(size) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+        v[picks] = rng.choice(special, picks.sum())
+        return v
+
+    data = values(nnz, [0.0, -0.0, 1e-300, -1e300])
+    x = values(n, [0.0, -0.0, 1e-300, -1e300, math.inf, -math.inf, math.nan])
+    A = CSRMatrix(np.concatenate(([0], np.cumsum(lengths, dtype=int))), cols,
+                  data, (m, n))
+    return A, x, rng.standard_normal(m)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(csr_cases())
+def test_matvec_has_the_bincount_bytes(case):
+    A, x, b = case
+    m, n = A.shape
+    with np.errstate(all="ignore"):
+        got, want = A @ x, bincount_matvec(A, x)
+        assert got.dtype == want.dtype and got.shape == want.shape == (m,)
+        # a row whose products are all -0.0 sums to -0.0 where bincount,
+        # adding them to 0.0, gives 0.0; numpy promises no NaN's payload
+        differ = got.view(np.int64) != want.view(np.int64)
+        zero_sign = (got == 0) & np.signbit(got) & (want == 0) & ~np.signbit(want)
+        assert np.all(~differ | zero_sign | (np.isnan(got) & np.isnan(want)))
+        if m:  # the feasibility measure has every bit of bincount's
+            got = _infeasibility(types.SimpleNamespace(A=A, b=b), x)
+            want = float(np.abs(bincount_matvec(A, x) - b).max())
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    for wrong in (np.zeros(n + 1), np.zeros((1, n)), np.zeros((n, 1))):
+        with pytest.raises(DimensionMismatchError):
+            A @ wrong
+
+
+def test_matvec_slabs_are_views_when_rows_have_one_length():
+    A = build("ex3", DESK_DIM).cs.A
+    (at, columns, values), = A._slabs
+    assert at is None and columns.shape == values.shape == (3, A.shape[0])
+    assert np.shares_memory(columns, A.indices) and np.shares_memory(values, A.data)
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(0, 4, 40)
+    A = CSRMatrix(np.concatenate(([0], np.cumsum(lengths))),
+                  rng.integers(0, 9, lengths.sum()),
+                  rng.standard_normal(lengths.sum()), (40, 9))
+    assert sorted(columns.shape[0] for _, columns, _ in A._slabs) == [1, 2, 3]
+    assert all(not a.flags.writeable for slab in A._slabs for a in slab)
+    x = rng.standard_normal(9)
+    assert (A @ x).tobytes() == bincount_matvec(A, x).tobytes()
+
+
 # ------------------------------- column views against the gather oracles
 
 def assert_gather_oracle_bytes(cs, rng):
@@ -644,6 +710,56 @@ def test_mixed_shapes_factor_component_by_component_bytes():
     shapes = [(1, 2), (2, 3), (1, 3), (3, 5), (2, 2)]
     cs, _ = block_system(rng, [shapes[i] for i in rng.integers(0, 5, 60)], free=9)
     assert_factor_bytes(cs)
+
+
+def _expand_systems():
+    """Systems whose groups have r = 1 and r = 2 (and one r = 3), read by a
+    slice or by an index array."""
+    rng = np.random.default_rng(29)
+    ex3, ex8 = build("ex3", DESK_DIM).cs, build("ex8", DESK_DIM).cs
+    permuted = [ConstraintSystem(A=cs.A.toarray()[:, rng.permutation(cs.n)], b=cs.b)
+                for cs in (ex3, ex8)]
+    interleaved = np.zeros((12, 30))
+    for j in range(6):
+        interleaved[2 * j, [5 * j, 5 * j + 2]] = rng.standard_normal(2)
+        interleaved[2 * j + 1, [5 * j + 1, 5 * j + 3, 5 * j + 4]] = rng.standard_normal(3)
+    mixed, _ = block_system(rng, [(1, 2), (2, 3), (3, 5)] * 4, free=2)
+    return [ex3, ex8, *permuted,
+            ConstraintSystem(A=interleaved, b=rng.standard_normal(12)), mixed]
+
+
+def test_expand_has_the_einsum_bytes():
+    rng = np.random.default_rng(30)
+    kinds = set()
+    for cs in _expand_systems():
+        for v in (rng.standard_normal(cs.n), rng.standard_normal((3, cs.n))):
+            for grp in cs.projector.groups:
+                coef = _coefficients(grp.q, grp.at, v)
+                got, want = _expand(grp.q, coef), einsum_expand(grp.q, coef)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                kinds.add((grp.r.shape[1], type(grp.at), v.ndim))
+            for shifted in (False, True):
+                got = _to_null_space(cs, v, shifted)
+                assert got.tobytes() == einsum_to_null_space(cs, v, shifted).tobytes()
+    assert {(r, kind, ndim) for r in (1, 2) for kind in (slice, np.ndarray)
+            for ndim in (1, 2)} <= kinds
+
+
+def test_expand_differs_from_einsum_only_in_the_sign_of_a_zero():
+    # einsum adds the products to 0.0; a product keeps its -0.0, and an
+    # entry of v that is -0.0 then comes out 0.0
+    for pid in ("ex8", "ex3"):  # r = 1 and r = 2, one group each
+        cs = build(pid, DESK_DIM).cs
+        (grp,) = cs.projector.groups
+        coef = np.zeros(grp.b_r.shape)
+        got, want = _expand(grp.q, coef), einsum_expand(grp.q, coef)
+        assert np.array_equal(got, want) and not np.signbit(want).any()
+        minus = np.signbit(grp.q).all(axis=2)  # every product -0.0
+        assert minus.any()
+        assert_array_equal(np.signbit(got), minus)
+        v = np.full(cs.n, -0.0)
+        assert np.signbit(einsum_to_null_space(cs, v, False)).all()
+        assert_array_equal(np.signbit(_to_null_space(cs, v, False)), ~minus.ravel())
 
 
 # ------------------------------------------------------- project_gradient

@@ -74,3 +74,16 @@ def test_factor_digest_sees_one_bit_of_q():
         q = _one_ulp_up(grp.q.ravel(), 5).reshape(grp.q.shape)
         groups = projector.groups[:-1] + (dataclasses.replace(grp, q=q),)
         assert tool.factor_digest(dataclasses.replace(projector, groups=groups)) != first
+
+
+def test_matvec_items_reach_rows_of_two_lengths():
+    # the benchmark matrices have rows of one length; the interleaved
+    # systems' 1x2 and 1x3 components give the mat-vec rows of two
+    tool = _load()
+    cs = tool.interleaved(120, 0)
+    assert np.unique(np.diff(cs.A.indptr)).tolist() == [2, 3]
+    first = tool.matvec_digest(cs, 0)
+    assert tool.matvec_digest(tool.interleaved(120, 0), 0) == first
+    assert tool.matvec_digest(cs, 7) != first
+    assert tool.matvec_digest(build("ex3", 120).cs, 0) != tool.matvec_digest(
+        build("ex3", 120).cs, 7)

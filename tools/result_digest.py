@@ -13,13 +13,16 @@ problem's block groups index their variables by a slice, so it also runs
 whose groups take the index-array path: ex8's constraints with the
 columns permuted by a seeded permutation, and interleaved 1x2 and 1x3
 components, each at n = 120 and 4800 with seeds 0 and 7. It also
-digests the projector of the 20 benchmark systems and of these 8.
-Each item's digest covers every output bit: a solve's status, counts,
-f*, kkt, feas, x*, lambda* and every ``IterationRecord``; a check's name,
-n, point count, worst error and per-coordinate errors; a projection's
-three result vectors; a projector's rows, columns, q, r and b_r of every
-block group. The script prints one line per item and a last line with
-the digest of all items in order.
+digests the projector of the 20 benchmark systems and of these 8, and
+``A @ x`` and the feasibility measure ``max |Ax - b|`` of each of these
+28 systems at a seeded point; the interleaved systems have rows of two
+lengths. Each item's digest covers every output bit: a solve's status,
+counts, f*, kkt, feas, x*, lambda* and every ``IterationRecord``; a
+check's name, n, point count, worst error and per-coordinate errors; a
+projection's three result vectors; a projector's rows, columns, q, r and
+b_r of every block group; a mat-vec's vector and measure. The script
+prints one line per item and a last line with the digest of all items in
+order.
 
 The digest depends on the BLAS kernel: OpenBLAS picks one per machine
 (``OPENBLAS_CORETYPE`` overrides it for one process), and different
@@ -43,6 +46,7 @@ sys.path.insert(0, str(SRC))
 from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS,  # noqa: E402
                     ConstraintSystem, CSRMatrix, build, gradient_check,
                     make_feasible, multipliers, project_gradient, solve)
+from eqflow.projection import _infeasibility  # noqa: E402
 
 SEEDS = (0, 7)
 POINTS = 10
@@ -87,6 +91,13 @@ def projection_digest(cs, seed) -> str:
                    multipliers(cs, g)))
 
 
+def matvec_digest(cs, seed) -> str:
+    """Hex SHA-256 of ``cs.A @ x`` and of ``max |Ax - b|`` at a seeded
+    random point x."""
+    x = np.random.default_rng(seed).standard_normal(cs.n)
+    return digest((cs.A @ x, _infeasibility(cs, x)))
+
+
 def factor_digest(projector) -> str:
     """Hex SHA-256 of every block group of a Projector: its rows, the
     columns its ``at`` gives, q, r and b_r."""
@@ -115,9 +126,9 @@ def interleaved(n, seed) -> ConstraintSystem:
 
 def items():
     """(label, digest) of each solve, then of each gradient check, then of
-    each solve again on the same problem, then of each problem's projector,
-    then of the projector and the projections of each system with
-    index-array groups."""
+    each solve again on the same problem, then of each problem's projector
+    and mat-vec, then of the projector, the projections and the mat-vec of
+    each system with index-array groups."""
     problems = ([build(pid, DESK_DIM) for pid in PROBLEM_IDS]
                 + [build(pid, PAPER_DIMS[pid]) for pid in PROBLEM_IDS])
     for p in problems:
@@ -135,6 +146,8 @@ def items():
         yield f"solve again {p.name} n={p.n}", solve_digest(solve(p))
     for p in problems:
         yield f"factor {p.name} n={p.n}", factor_digest(p.cs.projector)
+    for p in problems:
+        yield f"matvec {p.name} n={p.n}", matvec_digest(p.cs, 0)
     for make in (permuted_ex8, interleaved):
         for n in (DESK_DIM, 4800):
             for seed in SEEDS:
@@ -142,6 +155,7 @@ def items():
                 label = f"{make.__name__} n={n} seed={seed}"
                 yield f"factor {label}", factor_digest(cs.projector)
                 yield f"project {label}", projection_digest(cs, seed)
+                yield f"matvec {label}", matvec_digest(cs, seed)
 
 
 def main() -> int:
