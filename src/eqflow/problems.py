@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .projection import (ConstraintSystem, CSRMatrix, _count, _start_point,
-                         _to_null_space, _vector, make_feasible)
+                         _to_null_space, _vector)
 
 
 class BadDimensionError(ValueError):
@@ -415,9 +415,12 @@ def gradient_check(problem: Problem, num_points: int = 10,
 
     Checks at the projected start point plus ``num_points - 1`` feasible
     perturbations of it (random directions projected onto the constraint
-    null space). The per-coordinate step is ``h_i = 1e-6 * (1 + |x_i|)``
-    and the error metric is ``|fd - g| / (1 + |g|)``; the check passes
-    when the worst error is at most ``GRAD_TOL``.
+    null space). The start is projected once, unchecked, since ``Problem``
+    already checked ``x0`` as ``make_feasible`` does, and each stack of
+    points is filled from it by one broadcast assignment. The
+    per-coordinate step is ``h_i = 1e-6 * (1 + |x_i|)`` and the error
+    metric is ``|fd - g| / (1 + |g|)``; the check passes when the worst
+    error is at most ``GRAD_TOL``.
 
     The differences are grouped by block (Curtis, Powell & Reid, 1974):
     coordinate i of every block of width w moves at once, and each block's
@@ -434,11 +437,12 @@ def gradient_check(problem: Problem, num_points: int = 10,
     their gradients and steps) holds at most 32 KiB and a batch at most 64
     KiB; from n = 4096 up a stack is one point and a batch one column, 2n
     floats. A stack costs ceil(w / chunk) calls, and the first stack one
-    more to count the blocks: at n = 120 the ten points make one stack and
-    one batch, so a check makes 2 calls. A result that is not one row of
-    n/w values per row of the array raises ValueError. The gradients of a
-    stack are one ``gradient`` call on it too; a complex result raises
-    TypeError, one not of shape ``(rows, n)`` DimensionMismatchError.
+    more to count the blocks, on a ``(1, n)`` view of its first point: at
+    n = 120 the ten points make one stack and one batch, so a check makes
+    2 calls. A result that is not one row of n/w values per row of the
+    array raises ValueError. The gradients of a stack are one ``gradient``
+    call on it too; a complex result raises TypeError, one not of shape
+    ``(rows, n)`` DimensionMismatchError.
     Without ``block_values`` the objective is one block of width n, and a
     point costs 2n objective calls and one gradient call, each on one
     ``(n,)`` row. The perturbations of a stack are drawn by one
@@ -450,7 +454,7 @@ def gradient_check(problem: Problem, num_points: int = 10,
     if num_points < 1:
         raise ValueError(f"num_points must be positive, got {num_points}")
     cs = problem.cs
-    base = make_feasible(cs, problem.x0)
+    base = _to_null_space(cs, problem.x0, True)
     rng = np.random.default_rng(seed)
     n = problem.n
     rows = max(1, _STACK // n)
@@ -461,14 +465,15 @@ def gradient_check(problem: Problem, num_points: int = 10,
     worst = np.zeros(n)
     for start in range(0, num_points, rows):
         stack = (min(rows, num_points - start), n)
-        x = np.tile(base, (stack[0], 1))
+        x = np.empty(stack)
+        x[...] = base
         drawn = stack[0] - (start == 0)  # the points other than the start point
         if drawn:
             x[-drawn:] += _to_null_space(
                 cs, rng.normal(scale=0.25, size=(drawn, n)), False)
         g = _vector(gradient(x), stack, "gradient")
         if w is None:
-            w = n // _stack_values(problem.name, values, x, None).shape[1]
+            w = n // _stack_values(problem.name, values, x[:1], None).shape[1]
         x, g = x.reshape(-1), g.reshape(-1)
         h = 1e-6 * (1.0 + np.abs(x))
         fd = np.empty_like(x)

@@ -77,6 +77,12 @@ def bincount_matvec(A, x) -> np.ndarray:
                        minlength=A.shape[0]).astype(float, copy=False)
 
 
+def matmul_dot(a, b) -> float:
+    """a.b of two float vectors by matmul, ``float(a @ b)``: BLAS ddot's
+    result added to 0.0."""
+    return float(a @ b)
+
+
 def einsum_expand(q, coef) -> np.ndarray:
     """Q coef of each block of a group, ``lead + (k, c)``, by the einsum
     that sums over r, adding the products to 0.0."""

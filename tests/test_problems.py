@@ -250,8 +250,9 @@ def test_gradient_check_call_counts(pid):
                    num_points=points)
     # the three points make one stack and all its moved copies one batch
     # (chunk = 4096 // 72 = 56 block columns): one call to count the blocks
-    # on the stack, then one on the 2 * width * 3 rows of the batch
-    assert [x.shape for x in calls] == [(points, n), (2 * width * points, n)]
+    # on the stack's first point, then one on the 2 * width * 3 rows of the
+    # batch
+    assert [x.shape for x in calls] == [(1, n), (2 * width * points, n)]
     calls.clear()
     gradients = []
     gradient_check(dataclasses.replace(p, gradient=_counted(p.gradient, gradients)),
@@ -274,7 +275,7 @@ def test_gradient_check_call_counts(pid):
     # so its batches are one column each (chunk 1), and the last stack's
     # 1200 make one batch of all its columns (chunk 3)
     assert [x.shape for x in gradients] == [(3, 1200)] * 3 + [(1, 1200)]
-    assert [x.shape for x in calls] == ([(3, 1200)] + [(6, 1200)] * (3 * width)
+    assert [x.shape for x in calls] == ([(1, 1200)] + [(6, 1200)] * (3 * width)
                                        + [(2 * width, 1200)])
 
 
@@ -292,8 +293,10 @@ def test_gradient_check_evaluations_may_keep_their_points(pid):
                                            block_values=_logged(p.block_values, calls, "v")),
                        num_points=points)
         # each stack's gradient call, then its batches; the first stack's
-        # batches after the call that counts the blocks on it
-        assert calls[1][1] is calls[0][1]
+        # batches after the call that counts the blocks on its first point,
+        # a one-row view of the stack
+        counted = calls[1][1]
+        assert counted.shape == (1, n) and counted.base is calls[0][1]
         starts = [k for k, (tag, _) in enumerate(calls) if tag == "g"]
         assert [calls[k][1].shape[0] for k in starts] == [3] + [1] * (points > 3)
         batches = []
@@ -353,7 +356,8 @@ def test_gradient_check_projects_a_stack_at_a_time(monkeypatch, n, points, stack
         return _to_null_space(cs, v, shifted)
     monkeypatch.setattr("eqflow.problems._to_null_space", counted)
     gradient_check(build("ex3", n), num_points=points)
-    assert calls == [((rows, n), False) for rows in stacks]
+    # the start point is projected first, onto Ax = b
+    assert calls == [((n,), True)] + [((rows, n), False) for rows in stacks]
 
 
 def _shrinking_after_first_call(block_values):
@@ -368,11 +372,12 @@ def _shrinking_after_first_call(block_values):
 
 
 @pytest.mark.parametrize("make, rows, expected", [
-    (lambda bv: lambda x: bv(x[0]), 3, r"\(12,\), expected \(3, n/w\)"),
-    (lambda bv: lambda x: bv(x).ravel(), 3, r"\(36,\), expected \(3, n/w\)"),
-    (lambda bv: lambda x: bv(x)[:, :5], 3,
-     r"\(3, 5\), expected \(3, n/w\) for a block width w that divides n = 24"),
-    (lambda bv: lambda x: bv(x)[:, :0], 3, r"\(3, 0\), expected \(3, n/w\)"),
+    # the first call counts the blocks on the first point, a (1, 24) stack
+    (lambda bv: lambda x: bv(x[0]), 1, r"\(12,\), expected \(1, n/w\)"),
+    (lambda bv: lambda x: bv(x).ravel(), 1, r"\(12,\), expected \(1, n/w\)"),
+    (lambda bv: lambda x: bv(x)[:, :5], 1,
+     r"\(1, 5\), expected \(1, n/w\) for a block width w that divides n = 24"),
+    (lambda bv: lambda x: bv(x)[:, :0], 1, r"\(1, 0\), expected \(1, n/w\)"),
     # the second call values the batch: 2 columns, up and down, of 3 points
     (_shrinking_after_first_call, 12, r"\(12, 6\), expected \(12, 12\)"),
 ], ids=["one-point", "flattened", "count-not-dividing-n", "no-blocks",

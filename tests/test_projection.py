@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse.csgraph import connected_components
@@ -25,12 +25,12 @@ from eqflow import (DESK_DIM, PAPER_DIMS, PROBLEM_IDS, ConstraintSystem,
                     known_optima, make_feasible, multipliers, project_gradient,
                     residuals)
 from eqflow.projection import (_RANK_GATE, Projector, _coefficients,
-                               _column_components, _expand, _infeasibility,
-                               _to_null_space, factor)
+                               _column_components, _dot, _expand,
+                               _infeasibility, _to_null_space, factor)
 from oracles import (bincount_matvec, component_factors, components,
                      dense_feasible, dense_projection, einsum_expand,
                      einsum_to_null_space, gathered_multipliers,
-                     gathered_to_null_space, group_columns)
+                     gathered_to_null_space, group_columns, matmul_dot)
 
 
 def random_system(rng, n_max=50):
@@ -560,6 +560,9 @@ def test_matvec_has_the_bincount_bytes(case):
     with np.errstate(all="ignore"):
         got, want = A @ x, bincount_matvec(A, x)
         assert got.dtype == want.dtype and got.shape == want.shape == (m,)
+        # A.T @ y is float zeros, not bincount's int64, without stored entries
+        t = A.T @ b
+        assert t.dtype == float and t.shape == (n,)
         # a row whose products are all -0.0 sums to -0.0 where bincount,
         # adding them to 0.0, gives 0.0; numpy promises no NaN's payload
         differ = got.view(np.int64) != want.view(np.int64)
@@ -588,6 +591,44 @@ def test_matvec_slabs_are_views_when_rows_have_one_length():
     assert all(not a.flags.writeable for slab in A._slabs for a in slab)
     x = rng.standard_normal(9)
     assert (A @ x).tobytes() == bincount_matvec(A, x).tobytes()
+
+
+# ------------------------------------------------------------------ _dot
+
+@st.composite
+def dot_cases(draw):
+    """Two float vectors of one length, 0 to 6000, each contiguous, every
+    second entry of a buffer, or a buffer from its second entry on; seeded
+    normal entries with signed zeros, subnormals, huge values, infinities
+    and NaNs among them."""
+    size = draw(st.one_of(st.integers(0, 8), st.integers(0, 6000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.02, 0.5, 1.0]))
+    special = [0.0, -0.0, 1e-310, -1e-310, 1e300, -1e300, math.inf, -math.inf,
+               math.nan]
+
+    def vector():
+        buffer = rng.standard_normal(2 * size + 1)
+        picks = rng.random(buffer.size) < share
+        buffer[picks] = rng.choice(special, picks.sum())
+        view = draw(st.sampled_from([slice(size), slice(0, 2 * size, 2),
+                                     slice(1, size + 1)]))
+        return buffer[view]
+    return vector(), vector()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(dot_cases())
+@example((np.array([-0.0]), np.array([0.0])))  # ddot alone gives -0.0
+def test_dot_has_the_matmul_bytes(case):
+    # _dot skips matmul's dispatch and keeps its bytes, the 0.0 it adds
+    # ddot's sum to included; numpy promises no NaN's payload
+    a, b = case
+    with np.errstate(all="ignore"):
+        got, want = _dot(a, b), matmul_dot(a, b)
+    assert type(got) is float
+    assert (np.float64(got).tobytes() == np.float64(want).tobytes()
+            or math.isnan(got) and math.isnan(want))
 
 
 # ------------------------------- column views against the gather oracles
