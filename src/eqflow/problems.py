@@ -38,6 +38,9 @@ class BadDimensionError(ValueError):
 
 DESK_DIM = 120
 
+# the ufunc of each operator, by its name in the compiled source
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply"}
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -155,13 +158,19 @@ def _program(spec):
     float entered it too, so an integer point is computed as before.
     Each entry is the same IEEE operation on the same values, and fewer
     arrays are allocated; only the payload of a NaN made from two NaNs
-    may differ where the operands swap. The source holds names and
-    integers only: each float (coefficient, shift or derived constant)
-    is a name in the scope.
+    may differ where the operands swap. A gradient column whose total is
+    made by its last line, and used nowhere else, is written by that line
+    into the column, ``multiply(a, b, out=out[k::w])``, instead of into a
+    temporary that a strided store then copies: the ufunc computes in the
+    operands' type and casts into ``out`` as the store did. The source
+    holds names and integers only: each float (coefficient, shift or
+    derived constant) is a name in the scope.
     """
     w, shift = spec.width, dict(enumerate(spec.shift))
     terms, derived = _monomials(spec)
-    scope = {"__name__": __name__, "empty": np.empty}  # warnings name this module
+    # warnings name this module
+    scope = {"__name__": __name__, "empty": np.empty,
+             **{name: getattr(np, name) for name in _UFUNCS.values()}}
     floats = {}  # float.hex(value) -> name, so 0.0 and -0.0 stay apart
 
     def bind(value):
@@ -171,8 +180,9 @@ def _program(spec):
             scope[floats[key]] = float(value)
         return floats[key]
 
-    def function(header, sums, store):
-        """The function's lines: its header, the sums, each ``store``d."""
+    def function(header, sums, store, column=None):
+        """The function's lines: its header, the sums, each ``store``d, or
+        written into ``column(k)`` by its last line."""
         # steps: (value, a, op, b) for ``value = a op b``, or ``value = a``
         # for a view of the point when op is None; (None, total, None, k)
         # stores column k
@@ -218,13 +228,20 @@ def _program(spec):
         last = {v: i for i, (value, a, op, b) in enumerate(steps)
                 for v in ((a,) if op is None else (a, b))}
         buffer = {}  # value -> the name of the array that holds it
+        fused = set()  # the values written into their column by their line
         lines = [header, "    flat = x.reshape(-1)"]
         for i, (value, a, op, b) in enumerate(steps):
             held, target = (buffer.get(a, a), buffer.get(b, b)), value
             if value is None:
+                if a in fused:
+                    continue
                 statement = store(b, held[0])
             elif op is None:
                 statement = f"{value} = {a}"
+            elif column and steps[i + 1][:2] == (None, value) and last[value] == i + 1:
+                fused.add(value)
+                statement = (f"{_UFUNCS[op]}({held[0]}, {held[1]}, "
+                             f"out={column(steps[i + 1][3])})")
             else:
                 # the first operand that dies here and may hold the result
                 operands = ((a, b), (b, a))[:1 + (op in "+*")]
@@ -241,7 +258,7 @@ def _program(spec):
             lines.append(f"    {statement}")
             dead = [buffer[v] for v in names.values()
                     if last.get(v) == i and buffer[v] != target]
-            if dead and i + 1 < len(steps):
+            if dead and i + 1 + (value in fused) < len(steps):
                 lines.append(f"    del {', '.join(dead)}")
         return lines
 
@@ -249,7 +266,8 @@ def _program(spec):
         "def block_values(x):", [terms],
         lambda k, total: f"return {total}.reshape(x.shape[:-1] + (-1,))")
     gradient = function("def gradient(x):\n    out = empty(x.size)", derived,
-                        lambda k, g: f"out[{k}::{w}] = {g}")
+                        lambda k, g: f"out[{k}::{w}] = {g}",
+                        lambda k: f"out[{k}::{w}]")
     # solve passes single points; for them the reshape would add 2-3% to a
     # call at n = 120
     gradient.append("    return out if x.ndim == 1 else out.reshape(x.shape)")
@@ -271,7 +289,8 @@ def _evaluator(spec):
     block_values, const = scope["block_values"], spec.const
 
     def objective(x):
-        f = float(block_values(x).sum())
+        # the reduction ndarray.sum reaches through a Python frame
+        f = float(np.add.reduce(block_values(x), axis=None))
         return f + const if const else f
 
     return objective, scope["gradient"], block_values

@@ -28,6 +28,12 @@ import numpy as np
 _RANK_GATE = 1e-12
 
 
+# 0.0 as a read-only array: a Python float operand costs a conversion at
+# every call (0.5 against 0.34 us for an add at k = 40)
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
 class DimensionMismatchError(ValueError):
     """A vector or matrix argument has an incompatible shape."""
 
@@ -88,8 +94,13 @@ def _dot(a, b) -> float:
 
 
 def _infeasibility(cs: "ConstraintSystem", x) -> float:
-    """max |Ax - b| over the rows of cs: the one feasibility measure."""
-    return float(np.abs(cs.A @ x - cs.b).max())
+    """max |Ax - b| over the rows of cs: the one feasibility measure.
+
+    ``np.maximum.reduce`` is the reduction ``ndarray.max`` reaches through
+    a Python frame; called directly it gives the same bits."""
+    residual = cs.A @ x
+    residual -= cs.b
+    return float(np.maximum.reduce(np.abs(residual, out=residual)))
 
 
 def _require_finite(values, name_of_entry):
@@ -119,7 +130,12 @@ class CSRMatrix:
     length makes one gather, one multiply and L - 1 adds. When every row
     has one length, as in every benchmark problem, the slabs are
     transposed views of ``indices`` and ``data``; otherwise each length
-    keeps copies, and an empty row sums to 0.0. A sum that starts from
+    keeps copies, and an empty row sums to 0.0. When, besides, the
+    stored columns are one increasing run, as in every system with one
+    row per block of variables, column l of the rows is the strided run
+    l, l + L, l + 2L, ... from the run's start: the slab keeps the run as
+    a slice and ``data`` as (rows, L), and the products are one multiply
+    of a view of x, with no gather. A sum that starts from
     its first product, not from 0.0, keeps the sign of a zero: a row
     whose products are all -0.0 sums to -0.0, where ``np.bincount``
     gives 0.0. Every other row sum has the bincount's bits, but for the
@@ -154,13 +170,17 @@ class CSRMatrix:
         self.rows = rows    # the row of each stored entry
         self.shape = (m, n)
         # (at, columns, values) per row length, at the rows of that length
-        # or None for every row. The lengths come from bincount: np.unique
-        # imports numpy.ma on its first call, 20 ms and 1 MB.
+        # or None for every row; columns is a slice for a run of columns.
+        # The lengths come from bincount: np.unique imports numpy.ma on its
+        # first call, 20 ms and 1 MB.
         lengths = np.diff(indptr)
         slabs = []
         for length in (np.flatnonzero(np.bincount(lengths)[1:]) + 1).tolist():
             at = np.flatnonzero(lengths == length)
-            if at.size == m:
+            if at.size == m and (indices[1:] - indices[:-1] == 1).all():
+                lo = int(indices[0])
+                slab = None, slice(lo, lo + indices.size), data.reshape(m, length)
+            elif at.size == m:
                 slab = None, indices.reshape(m, length).T, data.reshape(m, length).T
             else:
                 entries = indptr[at] + np.arange(length)[:, None]
@@ -190,10 +210,13 @@ class CSRMatrix:
         x = _vector(x, self.shape[1:])
         out = None
         for at, columns, values in self._slabs:
-            terms = x[columns]
-            terms *= values
-            total = terms[0]
-            for l in range(1, len(terms)):
+            if type(columns) is slice:  # (rows, L) products, row i's in row i
+                terms = (x[columns].reshape(values.shape) * values).T
+            else:
+                terms = x[columns]
+                terms *= values
+            total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+            for l in range(2, len(terms)):
                 total += terms[l]
             if at is None:  # every row has this length
                 return total
@@ -288,6 +311,14 @@ class BlockGroup:
     factors as ``q[i] @ r[i]`` with ``q[i]`` (c, r) orthonormal and
     ``r[i]`` (r, r) upper triangular, and ``b_r[i]`` solves
     ``r[i]^T b_r[i] = b[rows[i]]``.
+
+    ``q`` has shape (k, c, r). Where ``_coefficients`` states its order
+    (r = 1 with c <= 7, r = 2 with c <= 12) it is stored as a view of a
+    C-contiguous (r, k, c) array: ``q[..., l]``, column l of every
+    component's Q, is one contiguous (k, c) block, laid out as the
+    group's entries of a vector are. Other shapes keep the batched QR's
+    C-contiguous (k, c, r) layout, on which their einsums sum. Either
+    way its values, and its ``tobytes()``, are the QR's.
     """
 
     rows: np.ndarray
@@ -430,10 +461,18 @@ def factor(cs: ConstraintSystem) -> Projector:
                 f"{diag[bad[0]].min():.3e}"
             )
         b_r = np.linalg.solve(rr.transpose(0, 2, 1), cs.b[rows][..., None])[..., 0]
+        if _stated(*q.shape[1:]):
+            q = np.ascontiguousarray(q.transpose(2, 0, 1)).transpose(1, 2, 0)
         for arr in (q, rr, b_r):
             arr.flags.writeable = False
         groups.append(BlockGroup(rows=rows, at=at, q=q, r=rr, b_r=b_r))
     return Projector(groups=tuple(groups))
+
+
+def _stated(c, r) -> bool:
+    """Whether ``_coefficients`` sums the blocks of a (c, r) group in its
+    stated order; the other shapes keep the einsum."""
+    return c <= (7 if r == 1 else 12) and r <= 2
 
 
 def _coefficients(q, at, v) -> np.ndarray:
@@ -441,24 +480,53 @@ def _coefficients(q, at, v) -> np.ndarray:
     ``lead + (k, r)``, from the group's entries ``v[..., at]`` of a vector
     or a stack of them, v of shape ``lead + (n,)``.
 
-    The summation order over c is einsum's own, and the solve's bits hang
-    on it. For ex8 at n = 4800 (k = 1600, c = 3, r = 1), with p_j the
-    products of q[:, j, 0] and each block's entry j, the coordinates equal
-    ``(p0 + p2) + p1`` in all 204 800 entries of the solve's 128 calls and
-    a left-to-right sum in 153 600 (numpy 2.4.6, x86-64). Summed another
-    way (``matmul``, ``.sum(axis=1)``, sequentially, reversed) block 0 of
-    that solve ended in the local basin (f* = -12116.39), so the ex8 result
-    rests on an order numpy does not promise. ROADMAP.md item 1 replaces it
-    with a stated order; until then keep the einsum. The leading stack
-    axes leave that order as it is: each row of a stack gets the bits it
-    gets alone.
+    Coordinate l of a block sums the c products p_j of ``q[..., j, l]``
+    and the block's entry j in a stated order, then adds 0.0:
+    - for r = 1 and c <= 7, the even j left to right and the odd j left
+      to right, then the two sums added (c = 3 gives ``(p0 + p2) + p1``);
+    - for r = 2 and c <= 12, left to right.
+    That is the order ``np.einsum("kcr,...kc->...kr", ...)`` sums in on
+    the natural (k, c, r) layout of q (numpy 2.4.6, x86-64, measured for
+    k from 1 to 3000, 1-D and stacked, r = 2 to c = 100), and the solve's
+    bits hang on it: summed another way (``matmul``, ``.sum(axis=1)``,
+    sequentially, reversed) block 0 of ex8 at n = 4800 ends in the local
+    basin. The einsum adds the products to 0.0, so a block whose products
+    are all -0.0 gets 0.0; the closing ``+ 0.0`` does the same. Written
+    out, the order is the package's on every machine, and one contiguous
+    multiply of q with the entries, a few adds of their columns, replaces
+    einsum's slower loop over blocks; each row of a stack gets the bits it
+    gets alone. Every other shape keeps the einsum, on q's natural layout:
+    for r = 1 with c >= 8 it sums in yet another order, r >= 3 keeps that
+    layout for the einsum of ``_expand``, whose order depends on it, and a
+    block of many variables (a dense A is one) would make the written-out
+    sum a long Python loop.
     """
     # take lays a stack's gathered entries out row by row, as a slice's
-    # view has them; v[..., at] with an index array lays them out column
-    # by column, and einsum then sums over c in another order
+    # view has them
     entries = v[..., at] if isinstance(at, slice) else v.take(at, axis=-1)
-    return np.einsum("kcr,...kc->...kr", q,
-                     entries.reshape(v.shape[:-1] + q.shape[:2]))
+    k, c, r = q.shape
+    lead = v.shape[:-1]
+    if not _stated(c, r):
+        return np.einsum("kcr,...kc->...kr", q, entries.reshape(lead + (k, c)))
+    # lead + (r, k, c) products, as rows of c: terms[j] holds the products
+    # with entry j, for every block and coordinate
+    terms = (q.transpose(2, 0, 1) * entries.reshape(lead + (1, k, c))).reshape(-1, c).T
+    if r == 1 and c > 2:  # einsum's two lanes: the even j, then the odd j
+        total = terms[0] + terms[2]
+        for j in range(4, c, 2):
+            total += terms[j]
+        odd = terms[1]  # a view: the odd lane sums in the products' column 1
+        for j in range(3, c, 2):
+            odd += terms[j]
+        total += odd
+    elif c > 1:
+        total = terms[0] + terms[1]
+        for j in range(2, c):
+            total += terms[j]
+    else:
+        total = terms[0]
+    total += _ZERO  # for c = 1 in the products' own array
+    return total.reshape(lead + (r, k)).swapaxes(-1, -2)
 
 
 def _expand(q, coef) -> np.ndarray:
@@ -487,16 +555,23 @@ def _to_null_space(cs: ConstraintSystem, v, shifted: bool) -> np.ndarray:
     variables with the same per-entry order with or without a stack. An
     entry whose v is -0.0 and whose Q (Q^T v - t) is the -0.0 of
     ``_expand`` comes out 0.0; with einsum's 0.0 it stayed -0.0. Every
-    other entry has the einsum expand's bits."""
-    out = v.copy()
+    other entry has the einsum expand's bits. A group whose slice holds
+    all n variables forms the difference in the expand's array, with no
+    copy of v."""
     lead = v.shape[:-1]
+    out = None
     for grp in cs.projector.groups:
         q, at = grp.q, grp.at
         k, c, _ = q.shape
         coef = _coefficients(q, at, v)
         if shifted:
             coef = coef - grp.b_r
-        out[..., at] -= _expand(q, coef).reshape(lead + (k * c,))
+        expanded = _expand(q, coef).reshape(lead + (k * c,))
+        if type(at) is slice and k * c == v.shape[-1]:  # the only group
+            return np.subtract(v, expanded, out=expanded)
+        if out is None:
+            out = v.copy()
+        out[..., at] -= expanded
     return out
 
 

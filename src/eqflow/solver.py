@@ -161,7 +161,9 @@ def update_dt(dt: float, rho: float) -> float:
 
 
 def _finite(value) -> bool:
-    return bool(np.isfinite(value).all())
+    # np.logical_and.reduce is what ndarray.all reaches through a Python
+    # frame; so is np.maximum.reduce for .max below
+    return bool(np.logical_and.reduce(np.isfinite(value), axis=None))
 
 
 def solve(problem, config: Optional[SolverConfig] = None,
@@ -223,7 +225,7 @@ def solve(problem, config: Optional[SolverConfig] = None,
                     and _infeasibility(cs, x) <= feas_tol):
                 status = Status.NUMERICAL_ERROR
                 continue
-            pg_inf = float(np.abs(pg).max())
+            pg_inf = float(np.maximum.reduce(np.abs(pg)))
             if pg_inf <= cfg.eps:
                 status = Status.CONVERGED
                 continue

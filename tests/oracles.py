@@ -83,10 +83,57 @@ def matmul_dot(a, b) -> float:
     return float(a @ b)
 
 
+def einsum_coefficients(q, at, v) -> np.ndarray:
+    """q^T v of each block of a group, ``lead + (k, r)``, by the einsum the
+    package used before it stated its order: on q's natural C-contiguous
+    (k, c, r) layout, with a stack's entries taken row by row. einsum's
+    order depends on both layouts, and numpy promises none of it."""
+    entries = v[..., at] if isinstance(at, slice) else v.take(at, axis=-1)
+    return np.einsum("kcr,...kc->...kr", np.ascontiguousarray(q),
+                     entries.reshape(v.shape[:-1] + q.shape[:2]))
+
+
+def stated_order_coefficients(q, at, v) -> np.ndarray:
+    """q^T v of each block of a group, ``lead + (k, r)``, each entry summed
+    over c as ``_coefficients`` states it: for r = 1 a lane of the even j
+    and one of the odd j, for r = 2 one lane of all j, each lane left to
+    right from 0.0, and the lanes added to 0.0. Written out with
+    whole-block operations, whose every entry is one IEEE operation, so no
+    numpy reduction chooses an order."""
+    k, c, r = q.shape
+    entries = v[..., np.r_[at]].reshape(v.shape[:-1] + (k, c))
+    lanes = (range(0, c, 2), range(1, c, 2)) if r == 1 else (range(c),)
+    coef = np.zeros(v.shape[:-1] + (k, r))
+    for l in range(r):
+        for lane in lanes:
+            part = np.zeros(v.shape[:-1] + (k,))
+            for j in lane:
+                part = part + q[:, j, l] * entries[..., j]
+            coef[..., l] = coef[..., l] + part
+    return coef
+
+
+def states_its_order(c, r) -> bool:
+    """Whether ``_coefficients`` sums a (c, r) group in its stated order:
+    r = 1 with c <= 7 and r = 2 with c <= 12; every other shape keeps the
+    einsum."""
+    return r == 1 and c <= 7 or r == 2 and c <= 12
+
+
+def reference_coefficients(q, at, v) -> np.ndarray:
+    """``stated_order_coefficients`` where ``_coefficients`` states its
+    order, ``einsum_coefficients`` where it keeps the einsum."""
+    k, c, r = q.shape
+    if states_its_order(c, r):
+        return stated_order_coefficients(q, at, v)
+    return einsum_coefficients(q, at, v)
+
+
 def einsum_expand(q, coef) -> np.ndarray:
     """Q coef of each block of a group, ``lead + (k, c)``, by the einsum
-    that sums over r, adding the products to 0.0."""
-    return np.einsum("kcr,...kr->...kc", q, coef)
+    that sums over r, adding the products to 0.0, on q's natural
+    C-contiguous (k, c, r) layout."""
+    return np.einsum("kcr,...kr->...kc", np.ascontiguousarray(q), coef)
 
 
 def einsum_to_null_space(cs, v, shifted: bool) -> np.ndarray:
@@ -104,20 +151,21 @@ def gathered_to_null_space(cs, v, shifted: bool) -> np.ndarray:
     """v - Q (Q^T v - t) over the groups of cs, with each group's entries
     gathered as ``v[cols]`` and written back by ``out[cols] -=``, the index
     form of what ``project_gradient`` (t = 0) and ``make_feasible``
-    (t = b_r) compute."""
+    (t = b_r) compute. The coordinates are ``reference_coefficients``."""
     out = v.copy()
     for grp in cs.projector.groups:
         cols = group_columns(grp)
-        coef = np.einsum("kcr,kc->kr", grp.q, v[cols])
+        coef = reference_coefficients(grp.q, cols.ravel(), v)
         out[cols] -= einsum_expand(grp.q, coef - grp.b_r if shifted else coef)
     return out
 
 
 def gathered_multipliers(cs, g) -> np.ndarray:
-    """``multipliers`` with each group's entries gathered as ``g[cols]``."""
+    """``multipliers`` with each group's entries gathered as ``g[cols]``
+    and the coordinates by ``reference_coefficients``."""
     lam = np.empty(cs.m)
     for grp in cs.projector.groups:
-        coef = np.einsum("kcr,kc->kr", grp.q, g[group_columns(grp)])
+        coef = reference_coefficients(grp.q, group_columns(grp).ravel(), g)
         lam[grp.rows] = -np.linalg.solve(grp.r, coef[..., None])[..., 0]
     return lam
 

@@ -737,6 +737,27 @@ def test_compiled_source_holds_no_float_literal(pid):
     assert floats and all(name in source for name in floats)
 
 
+def test_gradient_columns_are_written_in_place():
+    # ex8's three derived columns end in an operation, each written into
+    # its column through out=; a bare view of the point (x2) and a bound
+    # constant (the 1.0 of x1) keep their stores
+    source, _ = _program(_TABLE["ex8"])
+    gradient = source[source.index("def gradient"):]
+    assert [f"out=out[{k}::3])" in gradient for k in range(3)] == [True] * 3
+    assert "] = " not in gradient
+    spec = _Spec(3, ((1, (2, 0, 0)), (1, (0, 1, 0)), (0.5, (0, 0, 2))),
+                 ((1.0, 1.0, 1.0),), (1.0,), (0.5,), 6)
+    source, _ = _program(spec)
+    gradient = source[source.index("def gradient"):]
+    assert "out=out[0::3])" in gradient
+    assert "out[1::3] = c" in gradient and "out[2::3] = t" in gradient
+    reference = reference_evaluator(spec)
+    for x in (np.linspace(-1.7, 1.3, 24), np.arange(-12, 12),
+              np.linspace(-1.7, 1.3, 24).reshape(2, 12)):
+        got, want = _evaluator(spec)[1](x), reference[1](x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("terms, want", [
     (((1, (2,)),), lambda x: 2.0 * x),                # ex3: a fresh product
     (((0.5, (2,)),), lambda x: x.copy()),             # the derived column is x

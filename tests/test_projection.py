@@ -28,9 +28,10 @@ from eqflow.projection import (_RANK_GATE, Projector, _coefficients,
                                _column_components, _dot, _expand,
                                _infeasibility, _to_null_space, factor)
 from oracles import (bincount_matvec, component_factors, components,
-                     dense_feasible, dense_projection, einsum_expand,
-                     einsum_to_null_space, gathered_multipliers,
-                     gathered_to_null_space, group_columns, matmul_dot)
+                     dense_feasible, dense_projection, einsum_coefficients,
+                     einsum_expand, einsum_to_null_space, gathered_multipliers,
+                     gathered_to_null_space, group_columns, matmul_dot,
+                     stated_order_coefficients, states_its_order)
 
 
 def random_system(rng, n_max=50):
@@ -527,6 +528,49 @@ def test_factor_same_blocks_from_every_input_form():
                 assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
 
 
+def test_factor_stores_q_in_the_layout_its_sums_read():
+    # a 3 x 4 block (einsum), then a 2 x 3 block and a 1 x 8 block: each
+    # group's layout follows its own shape, not the last group's
+    rng = np.random.default_rng(40)
+    A = np.zeros((6, 15))
+    A[0:3, 0:4] = rng.standard_normal((3, 4))
+    A[3:5, 4:7] = rng.standard_normal((2, 3))
+    A[5, 7:15] = rng.standard_normal(8)
+    groups = ConstraintSystem(A=A, b=rng.standard_normal(6)).projector.groups
+    assert sorted(g.q.shape for g in groups) == [(1, 3, 2), (1, 4, 3), (1, 8, 1)]
+    layouts = {g.q.shape[1:]: (g.q.flags.c_contiguous,
+                               g.q.transpose(2, 0, 1).flags.c_contiguous)
+               for g in groups}
+    # (natural, (r, k, c)); for r = 1 the two are one layout
+    assert layouts == {(4, 3): (True, False), (3, 2): (False, True),
+                       (8, 1): (True, True)}
+
+
+def tiled_case(length, m, off=False, zeros=False):
+    """A matrix with one row per block of ``length`` consecutive columns,
+    the blocks one run from column ``length - 1``, and a free last column:
+    the strided path. With ``off`` the last stored column moves by one
+    onto the free column, which breaks the run (the gather path); with
+    ``zeros`` row 0's products are all -0.0. Returns (A, x, b)."""
+    lo = length - 1
+    n = lo + m * length + 1
+    cols = lo + np.arange(m * length)
+    if off:
+        cols[-1] += 1
+    rng = np.random.default_rng(10 * length + m)
+    data, x = rng.standard_normal(m * length), rng.standard_normal(n)
+    if zeros:
+        data[:length] = np.abs(data[:length])
+        x[cols[:length]] = -0.0
+    A = CSRMatrix(np.arange(0, m * length + 1, length), cols, data, (m, n))
+    return A, x, rng.standard_normal(m)
+
+
+TILED_CASES = ([(length, m, False, False) for length in (1, 2, 3, 4) for m in (1, 5)]
+               + [(2, 3, True, False), (1, 4, True, False), (3, 2, False, True),
+                  (1, 1, False, True), (2, 4, True, True)])
+
+
 @st.composite
 def csr_cases(draw):
     """A CSRMatrix whose rows have mixed lengths, empty ones among them (m
@@ -552,8 +596,15 @@ def csr_cases(draw):
     return A, x, rng.standard_normal(m)
 
 
+def _with_tiled_cases(test):
+    for case in TILED_CASES:
+        test = example(tiled_case(*case))(test)
+    return test
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(csr_cases())
+@_with_tiled_cases
 def test_matvec_has_the_bincount_bytes(case):
     A, x, b = case
     m, n = A.shape
@@ -575,6 +626,18 @@ def test_matvec_has_the_bincount_bytes(case):
     for wrong in (np.zeros(n + 1), np.zeros((1, n)), np.zeros((n, 1))):
         with pytest.raises(DimensionMismatchError):
             A @ wrong
+
+
+@pytest.mark.parametrize("length, m, off, zeros", TILED_CASES)
+def test_tiled_matvec_reads_strided_views_of_x(length, m, off, zeros):
+    # one row per block over one run of columns multiplies views of x, a
+    # near-run gathers (test_matvec_has_the_bincount_bytes checks both
+    # sums); either way products that are all -0.0 sum to -0.0
+    A, x, _ = tiled_case(length, m, off, zeros)
+    (at, columns, values), = A._slabs
+    assert at is None and type(columns) is (np.ndarray if off else slice)
+    got = A @ x
+    assert (got[0] == 0 and np.signbit(got[0])) == zeros
 
 
 def test_matvec_slabs_are_views_when_rows_have_one_length():
@@ -767,6 +830,70 @@ def _expand_systems():
     mixed, _ = block_system(rng, [(1, 2), (2, 3), (3, 5)] * 4, free=2)
     return [ex3, ex8, *permuted,
             ConstraintSystem(A=interleaved, b=rng.standard_normal(12)), mixed]
+
+
+@st.composite
+def coefficient_cases(draw):
+    """q of a group of k blocks (k * c columns among n) with r rows each,
+    stored as factor stores it, the group's ``at`` (a
+    slice or an index array) and a vector or a (rows, n) stack, entries
+    drawn among normals and +-0.0, +-1e-310, +-1e300, +-inf and NaN.
+    Block 0 has q = 1 and entries -0.0, so its products are all -0.0."""
+    r = draw(st.sampled_from([1, 2, 3]))
+    c = draw(st.integers(max(r, 1), 12))
+    k = draw(st.integers(1, 50))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = [0.0, -0.0, 1e-310, -1e-310, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+
+    def values(shape):
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        picks = rng.random(shape) < share
+        v[picks] = rng.choice(special, picks.sum())
+        return v
+
+    q = values((k, c, r))
+    q[0] = 1.0
+    if states_its_order(c, r):  # a view of an (r, k, c) array
+        q = np.ascontiguousarray(q.transpose(2, 0, 1)).transpose(1, 2, 0)
+    n = k * c + draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, n - k * c))
+        at, cols = slice(lo, lo + k * c), np.arange(lo, lo + k * c)
+    else:
+        cols = rng.permutation(n)[:k * c]
+        at = cols
+    v = values((n,) if rows is None else (rows, n))
+    v[..., cols[:c]] = -0.0
+    return q, at, v
+
+
+def _same_bytes(got, want):
+    """Equal in every byte, but for the payload of a NaN."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.all((got.view(np.int64) == want.view(np.int64))
+                       | (np.isnan(got) & np.isnan(want))))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(coefficient_cases())
+def test_coefficients_sum_in_the_stated_order(case):
+    # the kernel's bytes are those of the order written out entry by
+    # entry; where it keeps the einsum (r = 1 with c >= 8, r = 3), the
+    # einsum's
+    q, at, v = case
+    k, c, r = q.shape
+    with np.errstate(all="ignore"):
+        got = _coefficients(q, at, v)
+        oracle = (stated_order_coefficients if states_its_order(c, r)
+                  else einsum_coefficients)
+        want = oracle(q, at, v)
+    assert got.shape == v.shape[:-1] + (k, r)
+    assert _same_bytes(got, want)
+    # block 0's products are all -0.0, and its coordinates 0.0
+    assert not np.signbit(got[..., 0, :]).any() and (got[..., 0, :] == 0).all()
 
 
 def test_expand_has_the_einsum_bytes():
