@@ -5,20 +5,16 @@ block-banded system of linear equality constraints.  ``_TABLE`` is the
 definition: one entry per problem gives the monomial terms of an
 objective block, one block of constraint rows, the start point, the
 benchmark size and the known optimum.  Each entry is compiled once, when
-it is first built, into straight-line numpy code for the per-block
-objective values and the gradient, vectorized over the blocks; each
-distinct product is formed once per call.  The gradient is derived from
-the terms by one rule, not written by hand, so ``gradient_check`` tests
-that rule.  Integer powers are formed by square-and-multiply rather than
-numpy's ``**``, whose integer exponents above 2 on a negative base take
-libm's slow ``pow``: exact for exponents 1 and 2, a few ulps from
-``pow`` above. The check reads the per-block values
-(``Problem.block_values``): it moves one coordinate of every block at
-once, and each difference carries the rounding error of one block, not
-of the whole sum.  Constraint matrices are assembled sparse (CSR), and
-the projection layer factors their blocks one component at a time.
-``ex1`` and ``ex3`` have closed-form optima; the other problems carry
-reference objective values at their benchmark sizes.
+it is first built, into straight-line float64 numpy code for the
+per-block objective values and the gradient, vectorized over the blocks
+(``_program``). The gradient is derived from the terms by one rule, not
+written by hand, so ``gradient_check`` tests that rule. The check reads
+the per-block values (``Problem.block_values``): it moves one coordinate
+of every block at once, and each difference carries the rounding error
+of one block, not of the whole sum.  Constraint matrices are assembled
+sparse (CSR), and the projection layer factors their blocks one
+component at a time.  ``ex1`` and ``ex3`` have closed-form optima; the
+other problems carry reference objective values at their benchmark sizes.
 """
 
 import functools
@@ -56,8 +52,10 @@ class Problem:
     set, mapping ``(..., n)`` to ``(..., n)``. ``gradient_check`` passes
     both ``(rows, n)`` stacks. ``build`` sets it; a problem without it is
     one block of width n to ``gradient_check``, and its gradient gets one
-    point at a time. ``x0`` is checked as
-    ``make_feasible`` checks it and kept as a read-only float copy.
+    point at a time. ``build``'s callbacks compute in float64, converting a
+    point of another real dtype and refusing a complex one (TypeError).
+    ``x0`` is checked as ``make_feasible`` checks it and kept as a
+    read-only float copy.
     """
 
     name: str
@@ -140,36 +138,35 @@ def _program(spec):
     """Source of ``block_values`` and ``gradient`` for a table entry, as
     straight-line code, and the scope that binds its names.
 
-    Each function reads the columns of a stack of points, flattened, as
-    the views ``flat[k::w]`` (entry k of every block of every point, since
-    w divides n) and subtracts their shifts. It forms each power by
-    square-and-multiply: ``v ** e`` is ``v ** (e - t) * v ** t`` for the
-    top bit t of e, and ``v ** t * v ** t`` for e = 2t; so ``v ** 1`` and
-    ``v ** 2`` are exact as written, and a higher power is a product of e
-    copies of v, a few ulps from ``pow`` (Higham, Accuracy and Stability,
-    3.1). Products run left to right, coefficient first, and so do sums.
-    Each distinct operation is one line, whose value every later use in
-    that function shares, and each value is deleted after its last use,
-    so no more arrays are alive at once than the operations need. A line
-    whose operand is a temporary that dies on it writes into that
-    operand's array: ``a op= b``, or ``b op= a`` for ``+`` and ``*``. The
-    operand must own its array (no view of the point) and be no float
-    name, and it must not be widened: it takes a float operand only if a
-    float entered it too, so an integer point is computed as before.
-    Each entry is the same IEEE operation on the same values, and fewer
-    arrays are allocated; only the payload of a NaN made from two NaNs
-    may differ where the operands swap. A gradient column whose total is
-    made by its last line, and used nowhere else, is written by that line
-    into the column, ``multiply(a, b, out=out[k::w])``, instead of into a
-    temporary that a strided store then copies: the ufunc computes in the
-    operands' type and casts into ``out`` as the store did. The source
-    holds names and integers only: each float (coefficient, shift or
-    derived constant) is a name in the scope.
+    Each function computes in float64: it takes a float64 point as it is
+    and converts any other once, by ``_vector``'s rule, so a complex point
+    raises TypeError. It reads the columns of a stack of points, flattened,
+    as the views ``flat[k::w]`` (entry k of every block of every point,
+    since w divides n) and subtracts their shifts. It forms each power by
+    square-and-multiply, not by ``**``, whose exponents above 2 on a
+    negative base take libm's slow ``pow``: ``v ** e`` is ``v ** (e - t) *
+    v ** t`` for the top bit t of e, and ``v ** t * v ** t`` for e = 2t;
+    so ``v ** 1`` and ``v ** 2`` are exact, and a higher power is a
+    product of e copies of v, a few ulps from ``pow`` (Higham, Accuracy
+    and Stability, 3.1). Products run left to right, coefficient first,
+    and so do sums. Each distinct operation is one line, whose value every
+    later use in that function shares, and each value is deleted after its
+    last use, so no more arrays are alive at once than the operations
+    need. A line whose operand is a temporary that dies on it writes into
+    that operand's array, ``a op= b`` or, for ``+`` and ``*``, ``b op=
+    a``, if that operand owns its array (no view of the point): the same
+    IEEE operation, but for the payload of a NaN made from two NaNs. A gradient
+    column whose total is made by its last line, and used nowhere else, is
+    written by that line into the column, ``multiply(a, b,
+    out=out[k::w])``, with no temporary for a strided store to copy. The
+    source holds names and integers only: each float (coefficient, shift
+    or derived constant) is a name in the scope.
     """
     w, shift = spec.width, dict(enumerate(spec.shift))
     terms, derived = _monomials(spec)
     # warnings name this module
-    scope = {"__name__": __name__, "empty": np.empty,
+    scope = {"__name__": __name__, "empty": np.empty, "float64": np.dtype(float),
+             "to_float64": lambda x: _vector(x, x.shape, "point"),
              **{name: getattr(np, name) for name in _UFUNCS.values()}}
     floats = {}  # float.hex(value) -> name, so 0.0 and -0.0 stay apart
 
@@ -180,18 +177,13 @@ def _program(spec):
             scope[floats[key]] = float(value)
         return floats[key]
 
-    def function(header, sums, store, column=None):
-        """The function's lines: its header, the sums, each ``store``d, or
-        written into ``column(k)`` by its last line."""
+    def function(name, sums, store, column=None):
+        """The lines of function ``name``: the point's conversion, the sums,
+        each ``store``d or written into ``column(k)`` by its last line."""
         # steps: (value, a, op, b) for ``value = a op b``, or ``value = a``
         # for a view of the point when op is None; (None, total, None, k)
         # stores column k
         names, steps = {}, []
-        owned = set()     # the values that own their array: no view of x
-        floating = set()  # the values a bound float enters
-
-        def is_float(v):
-            return v in floating or v in floats.values()
 
         def line(a, op=None, b=None):
             """The name of ``a op b``, or of ``a``, given a line if new."""
@@ -199,10 +191,6 @@ def _program(spec):
             if expr not in names:
                 value = names[expr] = f"t{len(names)}"
                 steps.append((value, a, op, b))
-                if op is not None:
-                    owned.add(value)
-                    if is_float(a) or is_float(b):
-                        floating.add(value)
             return names[expr]
 
         def power(k, e):
@@ -227,9 +215,13 @@ def _program(spec):
             steps.append((None, total, None, k))
         last = {v: i for i, (value, a, op, b) in enumerate(steps)
                 for v in ((a,) if op is None else (a, b))}
+        owned = {value for value, _, op, _ in steps if op}  # no view of x
         buffer = {}  # value -> the name of the array that holds it
         fused = set()  # the values written into their column by their line
-        lines = [header, "    flat = x.reshape(-1)"]
+        lines = [f"def {name}(x):", "    if x.dtype != float64:",
+                 "        x = to_float64(x)", "    flat = x.reshape(-1)"]
+        if column:
+            lines.append("    out = empty(x.size)")
         for i, (value, a, op, b) in enumerate(steps):
             held, target = (buffer.get(a, a), buffer.get(b, b)), value
             if value is None:
@@ -244,10 +236,9 @@ def _program(spec):
                              f"out={column(steps[i + 1][3])})")
             else:
                 # the first operand that dies here and may hold the result
-                operands = ((a, b), (b, a))[:1 + (op in "+*")]
-                into = next((j for j, (mine, other) in enumerate(operands)
-                             if mine in owned and last[mine] == i
-                             and (mine in floating or not is_float(other))), None)
+                operands = (a, b)[:1 + (op in "+*")]
+                into = next((j for j, mine in enumerate(operands)
+                             if mine in owned and last[mine] == i), None)
                 if into is None:
                     statement = f"{value} = {held[0]} {op} {held[1]}"
                 else:
@@ -263,9 +254,9 @@ def _program(spec):
         return lines
 
     block_values = function(
-        "def block_values(x):", [terms],
+        "block_values", [terms],
         lambda k, total: f"return {total}.reshape(x.shape[:-1] + (-1,))")
-    gradient = function("def gradient(x):\n    out = empty(x.size)", derived,
+    gradient = function("gradient", derived,
                         lambda k, g: f"out[{k}::{w}] = {g}",
                         lambda k: f"out[{k}::{w}]")
     # solve passes single points; for them the reshape would add 2-3% to a

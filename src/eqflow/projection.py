@@ -79,6 +79,23 @@ def _count(v, name) -> int:
     raise TypeError(f"{name} must be an integer, got {v!r}")
 
 
+def _indices(v, name) -> np.ndarray:
+    """v as intp; a non-empty v of no integer dtype raises TypeError."""
+    v = np.asarray(v)
+    if v.size and v.dtype.kind not in "iu":
+        raise TypeError(f"CSR {name} must be integers, got dtype {v.dtype}")
+    return np.array(v, dtype=np.intp)
+
+
+def _sum_rows(terms):
+    """terms[0] + terms[1] + ... left to right, a lone row as itself: the
+    row sum of ``A @ x`` and of each lane of ``_coefficients``."""
+    total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    for l in range(2, len(terms)):  # iterating terms[2:] costs 0.7 us more
+        total += terms[l]
+    return total
+
+
 def _dot(a, b) -> float:
     """a.b of two float vectors: the solve path's inner product.
 
@@ -120,13 +137,15 @@ class CSRMatrix:
     ``indices[indptr[i]:indptr[i + 1]]``. The form is canonical: within a
     row the columns increase strictly, so duplicate entries given to the
     constructor are summed, in the order given. Explicitly stored zeros
-    are kept. Complex entries raise TypeError. The constructor copies its
-    arrays into read-only ones, so no later change reaches the matrix.
-    ``A @ x`` and ``A.T @ y`` take 1-D vectors; ``toarray()`` densifies.
+    are kept. A non-empty ``indptr`` or ``indices`` of no integer dtype
+    (bool, float) raises TypeError naming it, as complex entries do. The
+    constructor copies its arrays into read-only ones, so no later change
+    reaches the matrix. ``A @ x`` and ``A.T @ y`` take 1-D vectors;
+    ``toarray()`` densifies.
 
-    ``A @ x`` sums each row's products left to right, in stored order,
-    from slabs kept on the matrix: the rows of one length L as an
-    (L, rows) array of column indices and one of values, so that a
+    ``A @ x`` sums each row's products left to right (``_sum_rows``), in
+    stored order, from slabs kept on the matrix: the rows of one length L
+    as an (L, rows) array of column indices and one of values, so that a
     length makes one gather, one multiply and L - 1 adds. When every row
     has one length, as in every benchmark problem, the slabs are
     transposed views of ``indices`` and ``data``; otherwise each length
@@ -135,11 +154,11 @@ class CSRMatrix:
     row per block of variables, column l of the rows is the strided run
     l, l + L, l + 2L, ... from the run's start: the slab keeps the run as
     a slice and ``data`` as (rows, L), and the products are one multiply
-    of a view of x, with no gather. A sum that starts from
-    its first product, not from 0.0, keeps the sign of a zero: a row
-    whose products are all -0.0 sums to -0.0, where ``np.bincount``
-    gives 0.0. Every other row sum has the bincount's bits, but for the
-    sign and payload of a NaN, which numpy does not promise.
+    of a view of x, with no gather. The sum starts from its first
+    product, not from 0.0, so a row whose products are all -0.0 sums to
+    -0.0, where ``np.bincount`` gives 0.0; every other row sum has the
+    bincount's bits, but for the sign and payload of a NaN, which numpy
+    does not promise.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -148,8 +167,7 @@ class CSRMatrix:
         if len(shape) != 2:
             raise DimensionMismatchError(f"CSR shape {tuple(shape)} is not (m, n)")
         m, n = (_count(d, f"shape[{i}]") for i, d in enumerate(shape))
-        indptr = np.array(indptr, dtype=np.intp)
-        indices = np.array(indices, dtype=np.intp)
+        indptr, indices = _indices(indptr, "indptr"), _indices(indices, "indices")
         data = np.array(data, dtype=float)
         if (min(m, n) < 0 or indptr.shape != (m + 1,) or indptr[0] != 0
                 or np.any(np.diff(indptr) < 0)
@@ -215,9 +233,7 @@ class CSRMatrix:
             else:
                 terms = x[columns]
                 terms *= values
-            total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-            for l in range(2, len(terms)):
-                total += terms[l]
+            total = _sum_rows(terms)
             if at is None:  # every row has this length
                 return total
             if out is None:
@@ -482,9 +498,10 @@ def _coefficients(q, at, v) -> np.ndarray:
 
     Coordinate l of a block sums the c products p_j of ``q[..., j, l]``
     and the block's entry j in a stated order, then adds 0.0:
-    - for r = 1 and c <= 7, the even j left to right and the odd j left
-      to right, then the two sums added (c = 3 gives ``(p0 + p2) + p1``);
-    - for r = 2 and c <= 12, left to right.
+    - for r = 1 and c <= 7, two lanes, the even j and the odd j, then the
+      two sums added (c = 3 gives ``(p0 + p2) + p1``);
+    - for r = 2 and c <= 12, one lane of every j.
+    Each lane is summed left to right by ``_sum_rows``.
     That is the order ``np.einsum("kcr,...kc->...kr", ...)`` sums in on
     the natural (k, c, r) layout of q (numpy 2.4.6, x86-64, measured for
     k from 1 to 3000, 1-D and stacked, r = 2 to c = 100), and the solve's
@@ -512,19 +529,10 @@ def _coefficients(q, at, v) -> np.ndarray:
     # with entry j, for every block and coordinate
     terms = (q.transpose(2, 0, 1) * entries.reshape(lead + (1, k, c))).reshape(-1, c).T
     if r == 1 and c > 2:  # einsum's two lanes: the even j, then the odd j
-        total = terms[0] + terms[2]
-        for j in range(4, c, 2):
-            total += terms[j]
-        odd = terms[1]  # a view: the odd lane sums in the products' column 1
-        for j in range(3, c, 2):
-            odd += terms[j]
-        total += odd
-    elif c > 1:
-        total = terms[0] + terms[1]
-        for j in range(2, c):
-            total += terms[j]
+        total = _sum_rows(terms[0::2])
+        total += _sum_rows(terms[1::2])
     else:
-        total = terms[0]
+        total = _sum_rows(terms)
     total += _ZERO  # for c = 1 in the products' own array
     return total.reshape(lead + (r, k)).swapaxes(-1, -2)
 

@@ -657,15 +657,34 @@ def test_compiled_evaluator_keeps_signed_zeros_apart():
 
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
-def test_compiled_evaluator_writes_no_float_into_an_integer_column(pid):
-    # an in-place line would cast a float into an integer point's power:
-    # the values, and their dtypes, stay the reference's
+def test_evaluator_computes_in_float64(pid):
+    # a point of another real dtype, or a stack of them, gives the bytes of
+    # its float64 copy, from the compiled code as from the reference
+    compiled, reference = _evaluator(_TABLE[pid]), reference_evaluator(_TABLE[pid])
     x = np.arange(-12, 12)
-    for point in (x, x.reshape(2, 12), x.astype(np.float32)):
-        got = [np.asarray(call(point)) for call in _evaluator(_TABLE[pid])[1:]]
-        want = [np.asarray(call(point)) for call in reference_evaluator(_TABLE[pid])[1:]]
-        assert [(g.dtype, g.tobytes()) for g in got] == [(w.dtype, w.tobytes()) for w in want]
-    assert x.tobytes() == np.arange(-12, 12).tobytes()
+    for dtype in (np.int8, np.int64, np.float32):
+        for point in (x.astype(dtype), x.reshape(2, 12).astype(dtype)):
+            copy = point.astype(float)
+            want = _evaluations(reference, copy)
+            assert _evaluations(compiled, point) == _evaluations(compiled, copy) == want
+            assert [call(point).dtype for call in compiled[1:]] == [np.float64] * 2
+            assert point.tobytes() == x.astype(dtype).tobytes()
+    # a float64 point is used as it is, a view of a subclass too
+    assert type(compiled[2](x.astype(float).view(NoPow))) is NoPow
+
+
+def test_evaluator_values_of_integer_points_do_not_wrap():
+    # in int8, 12 * 12 wraps to -112; in int64, 300 ** 8 wraps too
+    assert build("ex1", 2).objective(np.array([12, 0], dtype=np.int8)) == 144.0
+    assert build("ex10", 3).objective(np.array([300, 0, 0])) == 6.561e19
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_evaluator_refuses_a_complex_point(pid):
+    point = np.linspace(-1.7, 1.3, 12) + 1j
+    for call in _evaluator(_TABLE[pid]):  # objective, gradient, block_values
+        with pytest.raises(TypeError, match="^point is complex"):
+            call(point)
 
 
 class Counting(np.ndarray):

@@ -481,6 +481,33 @@ def test_csr_form_matches_scipy():
             CSRMatrix([0], [], [], shape)
 
 
+@pytest.mark.parametrize("indptr, indices, name, dtype", [
+    ([0, 2], [0.9, 2.7], "indices", "float64"),     # was read as columns 0 and 2
+    ([0, 2], [True, False], "indices", "bool"),     # was read as columns 1 and 0
+    ([0.0, 2.0], [0, 2], "indptr", "float64"),
+    ([False, True], [0], "indptr", "bool"),
+])
+def test_csr_refuses_index_arrays_that_are_not_integers(indptr, indices, name, dtype):
+    with pytest.raises(TypeError, match=rf"^CSR {name} must be integers, got dtype {dtype}$"):
+        CSRMatrix(indptr, indices, [1.0] * len(indices), (1, 3))
+
+
+def test_csr_takes_integer_and_empty_index_arrays():
+    for indices in ([], np.array([])):  # np.array([]) is float64
+        A = CSRMatrix([0, 0], indices, [], (1, 3))
+        assert A.indices.dtype == np.intp and A.indices.size == 0
+    dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+    ref = sp.csr_matrix(dense)
+    assert ref.indices.dtype == np.int32
+    assert_array_equal(CSRMatrix(ref.indptr, ref.indices, ref.data, ref.shape).toarray(),
+                       dense)
+    A = CSRMatrix(*(np.array(a, dtype=np.uint8) for a in ([0, 2, 3], [0, 2, 1])),
+                  [1.0, 2.0, 3.0], (2, 3))
+    assert_array_equal(A.toarray(), dense)
+    A = build("ex3", 6).cs.A  # from the arrays of problems._block_constraints
+    assert A.indices.dtype == A.indptr.dtype == np.intp
+
+
 @pytest.mark.parametrize("args, m, n", [
     (([], [], [], (-1, 3)), -1, 3),      # indptr[0] does not exist
     (([0, 0], [], [], (1, -2)), 1, -2),  # arrays that fit but for the sign
